@@ -1,0 +1,112 @@
+"""Golden CLI output: sha256 digests of stdout for a fixed command list.
+
+Each command runs in both text and structured format and must reproduce
+its digest and exit code byte for byte, so a refactor of report encoding
+or rendering cannot change what a user sees. Text output follows document
+key order, so it also pins the order in which reports list their keys.
+
+The digests include floating-point residuals printed to 6 significant
+digits (text) or in full (structured); they were taken with numpy 2.4 on
+x86-64. To refresh after an intended output change, print
+hashlib.sha256(out.encode()).hexdigest() for each case below.
+"""
+
+import hashlib
+
+import pytest
+
+from projlat.cli import main
+
+GOLDEN = {
+    "validate klein4": (
+        0,
+        "e76470e00ce1e41612a150ad53e682f3a29709ebe633a122a63dd96fe520567f",
+        "430ccf0ac742cda954e930242304a016915de61d02f2fcf93966b8fee38fe38e",
+    ),
+    "validate broken-inverse": (
+        1,
+        "e122ab601607a476a1c43a0eb1effd26069ef38b765bc0ee693a1b546e9c7baf",
+        "136e4bb126ef96a8a724ad1da2f5376d16c9fb652d5119a732e65f74fa869f60",
+    ),
+    "validate pants2": (
+        0,
+        "889c4f479f5b5293efe3b0754495529049ed237e2a4a22d7eafa64ba4b0f9b79",
+        "9d3f98a0e7324b5b8f4698da4863810b6b701edd430c3d70253c01e2d1ba44f5",
+    ),
+    "validate pants3 --backend fhilb": (
+        0,
+        "f3e88205b05d29b2626e450aaaaaaa81024d1f39e1d5ac2aceefc9f204978338",
+        "cb1cf2fe8529fd7ea529aecf8c3cc082d7a04a10be1d21b18eae3f939ced3ffe",
+    ),
+    "projections pants2 --seed 7": (
+        0,
+        "10855dc2e7b46505c854b57cddb43d9ae1727337bbe34c67f7de233acbd264e2",
+        "50162e752ad1130d9784ee1a6ac4c91df7c8d0f59f5f5e2833b064ea12dbd866",
+    ),
+    "projections klein4": (
+        0,
+        "668e4c809415effa6fbad7d8e24106d9f9971a914ab732efbc16acbacdfecc63",
+        "be427c0c7c7c92008d56398e9c578106d5caa27fb0326aee4fab4d30bf05f276",
+    ),
+    "lattice klein4 --order inclusion": (
+        0,
+        "1573d156182f778b8ad6da44fccf389ca806d64c6da360577407c3d9377914bd",
+        "c437f0756720e57ba47742fb361356f23c1fb153d8ed80517ad32f6f9624e630",
+    ),
+    "lattice symmetric3 --order inclusion": (
+        0,
+        "88099d94b0234e7e59826c29992ff4f16cddf5fccf60e5b7a8b826a5fe344ef3",
+        "9dd0e9633c956ea3f46f959a1ab8926fe64e18259858d5651b6fa416564bfa4b",
+    ),
+    "lattice interval --order mult": (
+        0,
+        "0f8bada0fcec085fe5e4907ee0da70bba5e0b78d803fb25cb2850fca2468aa28",
+        "0cb3791736fd6b5cffcb96490e9394817fa3ea5031af5024e9867bb5ae51213b",
+    ),
+    "lattice cyclic4 --order mult": (
+        0,
+        "15550ae59ffac11f7d743f4e53f06e73f61620d72cec2b2449b35e7e0605d4c9",
+        "6bcffe2225c5f00cd23d1e1f9306e6453c05d41081544fda021aff7181295cda",
+    ),
+    "lattice basis3 --order mult": (
+        0,
+        "3b4c1624e94853e2b62dcad09473f211e016a061d041b8b855fb9ba486f393bd",
+        "53677faf3ed7de1a1e6c1c9267f0839ad726a4c0e673c2b32f27d4b6f5fdf191",
+    ),
+    "copyables interval": (
+        1,
+        "96fb314194d43722d428c8a08efd6b66978b4538012fcfab64c969ee591c95c5",
+        "5cb8f5901ae1bde445163295d76b099b8bc230310008629f0b4de95b8acc34e6",
+    ),
+    "copyables klein4": (
+        0,
+        "b4d1412b42d56b008cbbbdd974564b30130644ac4c880b7ff569d1940d1b4c4d",
+        "fb1d3f63b9dc5b57777c940705ef5f61cc25c74568eb03b30303b8f5e43a1c59",
+    ),
+    "tensor cyclic2 cyclic2": (
+        0,
+        "bb619b352c0a2d862489dbd180cc97daf0643db810563e04c0fd8dbb2475687e",
+        "263bf2627482b448dc6d4be6d4c5c7c9c8607c92ce638e20255facde13ac689f",
+    ),
+    "tensor basis4 basis3": (
+        0,
+        "8c532ca6ce076e3760b9ec0cc8ef3aecdfb48a9af4962e3df525845c271f2219",
+        "c70a0b4ed57945a586c112624d09742e3649dde40247a739229f9a642f09d0b7",
+    ),
+    "counterexamples all": (
+        0,
+        "7b1d313e2db0d4cd97fc5ad044e0a2a347be4ff30f995a31283e22596bf642d6",
+        "a6bd85c980bf98215ce85b2712fe5839e5d452114012bf7b793673ec709278ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_output_matches_golden_digest(command, fmt, capsys):
+    code, text_digest, structured_digest = GOLDEN[command]
+    got_code = main(command.split() + ["--format", fmt])
+    out = capsys.readouterr().out
+    assert got_code == code
+    want = text_digest if fmt == "text" else structured_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == want

@@ -143,6 +143,7 @@ def test_every_report_kind_round_trips_losslessly():
         doc = rep.to_dict()
         seen.add(doc["kind"])
         again = parse_report(through_json(doc))
+        assert again == rep
         assert again.to_dict() == doc
     assert seen == set(REPORT_KINDS) - {"cli_report"}
 
