@@ -309,7 +309,7 @@ def cmd_validate(args) -> int:
             "target": "groupoid",
             "backend": backend,
             "passed": not violations,
-            "violations": [v.to_dict() for v in violations],
+            "violations": violations,
         }
         code = 0 if not violations else 1
     else:
@@ -320,7 +320,7 @@ def cmd_validate(args) -> int:
             "target": "algebra",
             "backend": backend,
             "passed": rep.passed,
-            "axioms": rep.to_dict(),
+            "axioms": rep,
         }
         code = 0 if rep.passed else 1
     if args.backend is not None and args.backend != backend:
@@ -343,7 +343,7 @@ def cmd_projections(args) -> int:
         "carrier": alg.carrier.size,
         "count": poset.n,
         "elements": sorted(poset.names),
-        "orthogonality": orth.to_dict(),
+        "orthogonality": orth,
     }
     if args.seed is not None and alg.backend == FHILB:
         data["sampling"] = _sample_matrix_projections(alg, tol, args.seed)
@@ -371,13 +371,13 @@ def cmd_lattice(args) -> int:
         "input": name,
         "order": args.order,
         "elements": poset.n,
-        "lattice": rep.to_dict(),
-        "hasse": [list(e) for e in hasse_edges(poset)],
+        "lattice": rep,
+        "hasse": hasse_edges(poset),
     }
     code = 0
     if args.order == "mult":
         equiv = commute_glb_equivalence(alg, poset, tol)
-        data["equivalence"] = equiv.to_dict()
+        data["equivalence"] = equiv
         if not equiv.consistent:
             code = 1
     _emit("lattice", data, args)
@@ -391,7 +391,7 @@ def cmd_copyables(args) -> int:
     if alg.backend != REL:
         raise ParseError("copyable enumeration is defined on the rel backend only")
     rep = copyables_report(alg)
-    data = {"input": name, "report": rep.to_dict()}
+    data = {"input": name, "report": rep}
     _emit("copyables", data, args)
     return 0 if rep.lemma_holds else 1
 
@@ -409,14 +409,14 @@ def cmd_tensor(args) -> int:
         "right": name_b,
         "backend": ta.algebra.backend,
         "carrier": ta.algebra.carrier.size,
-        "axioms": ta.axioms.to_dict(),
+        "axioms": ta.axioms,
     }
     ok = ta.axioms.passed
     fam_a = _family(ga, alga, tol, args.max_enum)
     fam_b = _family(gb, algb, tol, args.max_enum)
     if len(fam_a) * len(fam_b) <= BI_ORDER_PAIR_CAP:
         bi = bi_order_check(ta, fam_a, fam_b, tol)
-        data["bi_order"] = bi.to_dict()
+        data["bi_order"] = bi
         ok = ok and bi.passed
     else:
         data["bi_order"] = {
@@ -498,7 +498,7 @@ def _bundle_interval(tol: Tolerance) -> tuple[dict, bool]:
         "subgroupoid_count": len(subs),
         "inclusion": {"distributive": inc_rep.distributive, "modular": inc_rep.modular},
         "mult": {"distributive": mult_rep.distributive, "modular": mult_rep.modular},
-        "order_comparison": cmp.to_dict(),
+        "order_comparison": cmp,
         "verified": ok,
     }
     return data, ok
@@ -562,7 +562,7 @@ def _bundle_boolean(tol: Tolerance) -> tuple[dict, bool]:
         "meets_are_bitwise_and": bit_ok,
         "joins_are_bitwise_or": bit_ok,
         "complements_are_bitwise_not": complement_ok,
-        "probe": rep.probe.to_dict(),
+        "probe": rep.probe,
         "verified": ok,
     }
     return data, ok

@@ -32,7 +32,7 @@ from .backend import (
     unit_object,
     zero_morphism,
 )
-from .errors import CompositionTypeError
+from .errors import CompositionTypeError, Report
 
 AXIOM_NAMES = (
     "associativity",
@@ -136,7 +136,7 @@ def induced_cap(alg: FrobeniusAlgebra) -> Morphism:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Report):
     """Pass/fail per algebra law plus the numeric defect of each check.
 
     Residuals are max entrywise differences on fhilb and violating pair
@@ -146,27 +146,15 @@ class AxiomReport:
     results: dict
     residuals: dict
 
+    kind = "axiom_report"
+    doc_keys = ("passed", "results", "residuals")
+
     @property
     def passed(self) -> bool:
         return all(self.results[name] for name in AXIOM_NAMES)
 
     def failed_axioms(self) -> list[str]:
         return [name for name in AXIOM_NAMES if not self.results[name]]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "axiom_report",
-            "passed": self.passed,
-            "results": {k: bool(v) for k, v in self.results.items()},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AxiomReport":
-        return cls(
-            results={k: bool(v) for k, v in doc["results"].items()},
-            residuals={k: float(v) for k, v in doc["residuals"].items()},
-        )
 
 
 def check_axioms(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:

@@ -31,6 +31,7 @@ from .errors import (
     BackendMismatch,
     LawViolation,
     ParseError,
+    Report,
     ResourceLimit,
     Violation,
 )
@@ -111,6 +112,8 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
     for key in ("objects", "morphisms", "compose"):
         if key not in doc:
             raise ParseError(f"groupoid document missing field {key!r}")
+        if not isinstance(doc[key], (list, tuple)):
+            raise ParseError(f"groupoid document field {key!r} is not a list")
     objects = tuple(str(x) for x in doc["objects"])
     if len(set(objects)) != len(objects):
         raise ParseError("duplicate object names")
@@ -123,16 +126,16 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
         if m.dom not in objects or m.cod not in objects:
             raise ParseError(f"morphism {m.name!r} references unknown object")
         morphisms.append(m)
-    names = [m.name for m in morphisms]
-    if len(set(names)) != len(names):
+    names = {m.name for m in morphisms}
+    if len(names) != len(morphisms):
         raise ParseError("duplicate morphism names")
     table = {}
     for entry in doc["compose"]:
-        if len(entry) != 3:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ParseError(f"compose entry {entry!r} is not a triple")
         f, g, h = (str(x) for x in entry)
         for nm in (f, g, h):
-            if nm not in set(names):
+            if nm not in names:
                 raise ParseError(f"compose entry references unknown morphism {nm!r}")
         if (f, g) in table:
             raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")
@@ -763,7 +766,7 @@ def enumerate_copyables(
 
 
 @dataclass(frozen=True)
-class CopyablesReport:
+class CopyablesReport(Report):
     """Copyable enumeration cross-checked against connectivity blocks.
 
     lemma_holds tests the naive claim that the copyables are exactly the
@@ -778,28 +781,12 @@ class CopyablesReport:
     missing: tuple[str, ...]  # expected (blocks or empty set) but not copyable
     extra: tuple[str, ...]  # copyable but neither a block nor empty
 
+    kind = "copyables_report"
+    doc_keys = ("copyables", "components", "missing", "extra", "lemma_holds")
+
     @property
     def lemma_holds(self) -> bool:
         return not self.missing and not self.extra
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "copyables_report",
-            "copyables": list(self.copyables),
-            "components": list(self.components),
-            "missing": list(self.missing),
-            "extra": list(self.extra),
-            "lemma_holds": self.lemma_holds,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CopyablesReport":
-        return cls(
-            tuple(doc["copyables"]),
-            tuple(doc["components"]),
-            tuple(doc["missing"]),
-            tuple(doc["extra"]),
-        )
 
 
 def copyables_report(alg: FrobeniusAlgebra, *, max_scan: int = BRUTE_FORCE_LIMIT) -> CopyablesReport:

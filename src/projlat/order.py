@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .backend import DEFAULT_TOL, REL, Tolerance
-from .errors import LawViolation, Violation
+from .errors import LawViolation, Report, Violation
 from .frobenius import (
     FrobeniusAlgebra,
     Point,
@@ -225,8 +225,11 @@ def inclusion_poset(
 
 
 @dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(Report):
     violations: tuple[Violation, ...]
+
+    kind = "orthogonality_report"
+    doc_keys = ("passed", "violations")
 
     @property
     def passed(self) -> bool:
@@ -234,17 +237,6 @@ class OrthogonalityReport:
 
     def laws_broken(self) -> list[str]:
         return sorted({v.law for v in self.violations})
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "orthogonality_report",
-            "passed": self.passed,
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OrthogonalityReport":
-        return cls(tuple(Violation.from_dict(v) for v in doc["violations"]))
 
 
 def check_orthogonality_axioms(poset: ProjectionPoset) -> OrthogonalityReport:
@@ -259,41 +251,27 @@ def check_orthogonality_axioms(poset: ProjectionPoset) -> OrthogonalityReport:
 
 
 @dataclass(frozen=True)
-class PairCheck:
+class PairCheck(Report):
     left: str
     right: str
     commute: bool
     product_is_projection: bool
     product_is_glb: bool
 
+    doc_keys = ("left", "right", "commute", "product_is_projection", "product_is_glb",
+                "consistent")
+
     @property
     def consistent(self) -> bool:
         return self.commute == self.product_is_projection == self.product_is_glb
 
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "commute": self.commute,
-            "product_is_projection": self.product_is_projection,
-            "product_is_glb": self.product_is_glb,
-            "consistent": self.consistent,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PairCheck":
-        return cls(
-            doc["left"],
-            doc["right"],
-            doc["commute"],
-            doc["product_is_projection"],
-            doc["product_is_glb"],
-        )
-
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Report):
     pairs: tuple[PairCheck, ...]
+
+    kind = "equivalence_report"
+    doc_keys = ("consistent", "pairs")
 
     @property
     def consistent(self) -> bool:
@@ -301,17 +279,6 @@ class EquivalenceReport:
 
     def disagreements(self) -> list[PairCheck]:
         return [p for p in self.pairs if not p.consistent]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "equivalence_report",
-            "consistent": self.consistent,
-            "pairs": [p.to_dict() for p in self.pairs],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EquivalenceReport":
-        return cls(tuple(PairCheck.from_dict(p) for p in doc["pairs"]))
 
 
 def commute_glb_equivalence(
@@ -346,7 +313,7 @@ def commute_glb_equivalence(
 
 
 @dataclass(frozen=True)
-class ProbeEntry:
+class ProbeEntry(Report):
     element: str
     has_max_orthogonal: bool
     complement: Optional[str]
@@ -354,6 +321,9 @@ class ProbeEntry:
     join_is_top: Optional[bool]
     double_complement: Optional[bool]
     order_reversing: Optional[bool]
+
+    doc_keys = ("element", "has_max_orthogonal", "complement", "meet_is_zero", "join_is_top",
+                "double_complement", "order_reversing", "passes")
 
     @property
     def passes(self) -> bool:
@@ -365,51 +335,18 @@ class ProbeEntry:
             and self.order_reversing
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "element": self.element,
-            "has_max_orthogonal": self.has_max_orthogonal,
-            "complement": self.complement,
-            "meet_is_zero": self.meet_is_zero,
-            "join_is_top": self.join_is_top,
-            "double_complement": self.double_complement,
-            "order_reversing": self.order_reversing,
-            "passes": self.passes,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ProbeEntry":
-        return cls(
-            doc["element"],
-            doc["has_max_orthogonal"],
-            doc["complement"],
-            doc["meet_is_zero"],
-            doc["join_is_top"],
-            doc["double_complement"],
-            doc["order_reversing"],
-        )
-
 
 @dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Report):
     applicable: bool
     entries: tuple[ProbeEntry, ...]
+
+    kind = "probe_report"
+    doc_keys = ("applicable", "all_pass", "entries")
 
     @property
     def all_pass(self) -> bool:
         return self.applicable and all(e.passes for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "probe_report",
-            "applicable": self.applicable,
-            "all_pass": self.all_pass,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ProbeReport":
-        return cls(doc["applicable"], tuple(ProbeEntry.from_dict(e) for e in doc["entries"]))
 
 
 def _max_orthogonal(poset: ProjectionPoset, a: int) -> Optional[int]:
@@ -455,67 +392,24 @@ def orthocomplement_probe(poset: ProjectionPoset) -> ProbeReport:
     return ProbeReport(True, tuple(entries))
 
 
-def _nest_table(table: dict) -> dict:
-    out: dict[str, dict] = {}
-    for (a, b), m in sorted(table.items()):
-        out.setdefault(a, {})[b] = m
-    return out
-
-
-def _flat_table(table: dict) -> dict:
-    return {(a, b): m for a, row in table.items() for b, m in row.items()}
-
-
 @dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(Report):
     names: tuple[str, ...]
     is_lattice: bool
     missing_meets: tuple[tuple[str, str], ...]
     missing_joins: tuple[tuple[str, str], ...]
-    meet_table: dict = field(repr=False)
-    join_table: dict = field(repr=False)
+    meet_table: dict[tuple[str, str], Optional[str]] = field(repr=False)
+    join_table: dict[tuple[str, str], Optional[str]] = field(repr=False)
     distributive: Optional[bool]
     distributive_witness: Optional[tuple[str, str, str]]
     modular: Optional[bool]
     modular_witness: Optional[tuple[str, str, str]]
     probe: ProbeReport
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "lattice_report",
-            "names": list(self.names),
-            "is_lattice": self.is_lattice,
-            "missing_meets": [list(x) for x in self.missing_meets],
-            "missing_joins": [list(x) for x in self.missing_joins],
-            "meet_table": _nest_table(self.meet_table),
-            "join_table": _nest_table(self.join_table),
-            "distributive": self.distributive,
-            "distributive_witness": list(self.distributive_witness)
-            if self.distributive_witness
-            else None,
-            "modular": self.modular,
-            "modular_witness": list(self.modular_witness) if self.modular_witness else None,
-            "probe": self.probe.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LatticeReport":
-        def triple(x):
-            return tuple(x) if x else None
-
-        return cls(
-            tuple(doc["names"]),
-            doc["is_lattice"],
-            tuple(tuple(x) for x in doc["missing_meets"]),
-            tuple(tuple(x) for x in doc["missing_joins"]),
-            _flat_table(doc["meet_table"]),
-            _flat_table(doc["join_table"]),
-            doc["distributive"],
-            triple(doc["distributive_witness"]),
-            doc["modular"],
-            triple(doc["modular_witness"]),
-            ProbeReport.from_dict(doc["probe"]),
-        )
+    kind = "lattice_report"
+    doc_keys = ("names", "is_lattice", "missing_meets", "missing_joins", "meet_table",
+                "join_table", "distributive", "distributive_witness", "modular",
+                "modular_witness", "probe")
 
 
 def lattice_report(poset: ProjectionPoset) -> LatticeReport:
@@ -651,32 +545,15 @@ def forbidden_sublattices(
 
 
 @dataclass(frozen=True)
-class OrderComparison:
+class OrderComparison(Report):
     equal: bool
     dual: bool
     dual_above_zero: bool
     only_in_first: tuple[tuple[str, str], ...]
     only_in_second: tuple[tuple[str, str], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "order_comparison",
-            "equal": self.equal,
-            "dual": self.dual,
-            "dual_above_zero": self.dual_above_zero,
-            "only_in_first": [list(x) for x in self.only_in_first],
-            "only_in_second": [list(x) for x in self.only_in_second],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OrderComparison":
-        return cls(
-            doc["equal"],
-            doc["dual"],
-            doc["dual_above_zero"],
-            tuple(tuple(x) for x in doc["only_in_first"]),
-            tuple(tuple(x) for x in doc["only_in_second"]),
-        )
+    kind = "order_comparison"
+    doc_keys = ("equal", "dual", "dual_above_zero", "only_in_first", "only_in_second")
 
 
 def compare_orders(first: ProjectionPoset, second: ProjectionPoset) -> OrderComparison:
@@ -719,46 +596,28 @@ def compare_orders(first: ProjectionPoset, second: ProjectionPoset) -> OrderComp
 
 
 @dataclass(frozen=True)
-class OreEntry:
+class OreEntry(Report):
     fixture: str
     cyclic: bool
     distributive: bool
+
+    doc_keys = ("fixture", "cyclic", "distributive", "consistent")
 
     @property
     def consistent(self) -> bool:
         return self.cyclic == self.distributive
 
-    def to_dict(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "cyclic": self.cyclic,
-            "distributive": self.distributive,
-            "consistent": self.consistent,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OreEntry":
-        return cls(doc["fixture"], doc["cyclic"], doc["distributive"])
-
 
 @dataclass(frozen=True)
-class OreReport:
+class OreReport(Report):
     entries: tuple[OreEntry, ...]
+
+    kind = "ore_report"
+    doc_keys = ("consistent", "entries")
 
     @property
     def consistent(self) -> bool:
         return all(e.consistent for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ore_report",
-            "consistent": self.consistent,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OreReport":
-        return cls(tuple(OreEntry.from_dict(e) for e in doc["entries"]))
 
 
 def ore_crossvalidate(fixtures: Iterable[tuple[str, Groupoid]]) -> OreReport:

@@ -23,7 +23,7 @@ from .backend import (
     rel_morphism,
     rel_object,
 )
-from .errors import ParseError
+from .errors import CompositionTypeError, ParseError, Report
 from .frobenius import AxiomReport, FrobeniusAlgebra
 from .groupoid import CopyablesReport, Groupoid, validate
 from .order import (
@@ -83,20 +83,16 @@ def morphism_from_doc(doc: dict) -> Morphism:
         raise ParseError(f"morphism document missing field {exc}") from exc
     if backend != dom.backend:
         raise ParseError("backend tag disagrees with dom object")
-    if backend == FHILB:
-        try:
+    try:
+        if backend == FHILB:
             arr = np.array(
                 [[complex(re, im) for re, im in row] for row in payload],
                 dtype=np.complex128,
             ).reshape(cod.size, dom.size)
-        except (TypeError, ValueError) as exc:
-            raise ParseError("malformed matrix payload") from exc
-        return fhilb_morphism(dom, cod, arr)
-    try:
-        pairs = frozenset((int(i), int(j)) for i, j in payload)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("malformed relation payload") from exc
-    return rel_morphism(dom, cod, pairs)
+            return fhilb_morphism(dom, cod, arr)
+        return rel_morphism(dom, cod, frozenset((int(i), int(j)) for i, j in payload))
+    except (TypeError, ValueError) as exc:  # CompositionTypeError included
+        raise ParseError(f"malformed {backend} payload: {exc}") from exc
 
 
 def algebra_to_doc(alg: FrobeniusAlgebra) -> dict:
@@ -113,11 +109,12 @@ def algebra_from_doc(doc: dict) -> FrobeniusAlgebra:
     for key in ("carrier", "mult", "unit"):
         if key not in doc:
             raise ParseError(f"algebra document missing field {key!r}")
-    return FrobeniusAlgebra(
-        object_from_doc(doc["carrier"]),
-        morphism_from_doc(doc["mult"]),
-        morphism_from_doc(doc["unit"]),
-    )
+    carrier = object_from_doc(doc["carrier"])
+    mult, unit = morphism_from_doc(doc["mult"]), morphism_from_doc(doc["unit"])
+    try:
+        return FrobeniusAlgebra(carrier, mult, unit)
+    except CompositionTypeError as exc:
+        raise ParseError(f"algebra document does not type-check: {exc}") from exc
 
 
 def matrix_to_doc(mat: np.ndarray) -> dict:
@@ -154,18 +151,14 @@ def groupoid_from_doc(doc: dict) -> Groupoid:
 
 
 @dataclass(frozen=True)
-class CliReport:
+class CliReport(Report):
     """Envelope for command-level output: a command name plus nested reports."""
 
     command: str
     data: dict
 
-    def to_dict(self) -> dict:
-        return {"kind": "cli_report", "command": self.command, "data": self.data}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CliReport":
-        return cls(doc["command"], doc["data"])
+    kind = "cli_report"
+    doc_keys = ("command", "data")
 
 
 REPORT_KINDS = {

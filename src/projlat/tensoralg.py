@@ -31,7 +31,7 @@ from .backend import (
 )
 import numpy as np
 
-from .errors import BackendMismatch, LawViolation, Violation
+from .errors import BackendMismatch, LawViolation, Report, Violation
 from .frobenius import (
     AxiomReport,
     FrobeniusAlgebra,
@@ -123,7 +123,7 @@ def tensor_points(ta: TensorAlgebra, p: Point, q: Point) -> Point:
 
 
 @dataclass(frozen=True)
-class BiOrderReport:
+class BiOrderReport(Report):
     """Exhaustive verification of the bi-order map over two families."""
 
     interchange_checked: int
@@ -131,28 +131,13 @@ class BiOrderReport:
     orthogonality_checked: int
     violations: tuple[Violation, ...]
 
+    kind = "bi_order_report"
+    doc_keys = ("passed", "interchange_checked", "order_checked", "orthogonality_checked",
+                "violations")
+
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "bi_order_report",
-            "passed": self.passed,
-            "interchange_checked": self.interchange_checked,
-            "order_checked": self.order_checked,
-            "orthogonality_checked": self.orthogonality_checked,
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BiOrderReport":
-        return cls(
-            doc["interchange_checked"],
-            doc["order_checked"],
-            doc["orthogonality_checked"],
-            tuple(Violation.from_dict(v) for v in doc["violations"]),
-        )
 
 
 def bi_order_check(

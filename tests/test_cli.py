@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from projlat import dump_json, klein4, load_json, pants_algebra, parse_report
+from projlat import cyclic, dump_json, klein4, load_json, pants_algebra, parse_report, to_algebra
 from projlat.cli import main
 from projlat.serialize import algebra_to_doc, groupoid_to_doc
 
@@ -55,6 +55,48 @@ def test_malformed_file_is_exit_2(tmp_path, capsys):
     bad.write_text("{broken")
     code, _, err = run(["validate", str(bad)], capsys)
     assert code == 2
+
+
+def _bad_carrier(doc):
+    doc["carrier"] = {"backend": "rel", "size": 3}  # mult and unit say 2
+
+
+def _pair_outside_carrier(doc):
+    doc["unit"]["payload"].append([0, 5])
+
+
+def _compose_entry_not_a_list(doc):
+    doc["compose"][0] = 5
+
+
+def _objects_not_a_list(doc):
+    doc["objects"] = 7
+
+
+def _morphisms_not_a_list(doc):
+    doc["morphisms"] = 7
+
+
+@pytest.mark.parametrize(
+    "target, mutate",
+    [
+        ("algebra", _bad_carrier),
+        ("algebra", _pair_outside_carrier),
+        ("groupoid", _compose_entry_not_a_list),
+        ("groupoid", _objects_not_a_list),
+        ("groupoid", _morphisms_not_a_list),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x.__name__.strip("_"),
+)
+def test_malformed_document_is_a_parse_error(target, mutate, tmp_path, capsys):
+    g = cyclic(2)
+    doc = algebra_to_doc(to_algebra(g)) if target == "algebra" else groupoid_to_doc(g)
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(dump_json(doc))
+    code, _, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_groupoid_file_input(tmp_path, capsys):
