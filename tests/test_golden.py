@@ -63,6 +63,16 @@ GOLDEN = {
         "0f8bada0fcec085fe5e4907ee0da70bba5e0b78d803fb25cb2850fca2468aa28",
         "0cb3791736fd6b5cffcb96490e9394817fa3ea5031af5024e9867bb5ae51213b",
     ),
+    "lattice dihedral4 --order inclusion": (
+        0,
+        "7048bb9e4108db04cbccca42433e99a4aea5d56bdcc9cdf0d4a8b7e3d80ceb4a",
+        "d2f175fb32454dd5ba04e55b8154d4ca2e7152dfe4f2075d65bb5f66ce6fdeea",
+    ),
+    "lattice two-intervals --order mult": (
+        0,
+        "906a173030728a760c65feffd5baf5c2cfbfc3fa0d014686195a80348d9bb225",
+        "a4c97f2c091856b29e7d866dcbdb46e0d24d9f86b4e4b5535f6ead02a8ad37a9",
+    ),
     "lattice cyclic4 --order mult": (
         0,
         "15550ae59ffac11f7d743f4e53f06e73f61620d72cec2b2449b35e7e0605d4c9",
