@@ -143,8 +143,15 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
     return objects, tuple(morphisms), table
 
 
-def groupoid_violations(doc: dict) -> list[Violation]:
-    """All law violations of a structurally well-formed document."""
+def _declared(doc: dict, key: str) -> Optional[dict]:
+    value = doc.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ParseError(f"groupoid document field {key!r} is not a mapping")
+    return value
+
+
+def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
+    """One parse and one search: the violations, and the groupoid when there are none."""
     objects, morphisms, table = _parse_structure(doc)
     by_name = {m.name: m for m in morphisms}
     violations: list[Violation] = []
@@ -166,7 +173,7 @@ def groupoid_violations(doc: dict) -> list[Violation]:
                     Violation("totality", (mf.name, mg.name), "composable pair missing from table")
                 )
     if violations:
-        return violations  # structural defects make the remaining laws unstatable
+        return violations, None  # structural defects make the remaining laws unstatable
 
     for f in by_name:
         for g in by_name:
@@ -182,7 +189,7 @@ def groupoid_violations(doc: dict) -> list[Violation]:
                         Violation("associativity", (f, g, h, lhs, rhs), "(f.g).h != f.(g.h)")
                     )
 
-    declared_ids = doc.get("identities")
+    declared_ids = _declared(doc, "identities")
     identities: dict[str, str] = {}
     for x in objects:
         if declared_ids is not None:
@@ -216,7 +223,7 @@ def groupoid_violations(doc: dict) -> list[Violation]:
             identities[x] = found
 
     inverses: dict[str, str] = {}
-    declared_inv = doc.get("inverses")
+    declared_inv = _declared(doc, "inverses")
     for m in morphisms:
         idd = identities.get(m.dom)
         idc = identities.get(m.cod)
@@ -243,38 +250,26 @@ def groupoid_violations(doc: dict) -> list[Violation]:
             )
         else:
             inverses[m.name] = found
-    return violations
+    if violations:
+        return violations, None
+    return [], Groupoid(objects, morphisms, table, identities, inverses)
+
+
+def groupoid_violations(doc: dict) -> list[Violation]:
+    """All law violations of a structurally well-formed document."""
+    return _law_check(doc)[0]
 
 
 def validate(doc: dict) -> Groupoid:
     """Parse and law-check a groupoid document; raise LawViolation on failure."""
-    violations = groupoid_violations(doc)
+    violations, g = _law_check(doc)
     if violations:
         raise LawViolation(
             f"groupoid document breaks {len(violations)} law(s): "
             + ", ".join(sorted({v.law for v in violations})),
             violations,
         )
-    objects, morphisms, table = _parse_structure(doc)
-    by_name = {m.name: m for m in morphisms}
-    identities = {}
-    for x in objects:
-        for m in morphisms:
-            if m.dom == x and m.cod == x and all(
-                table.get((q.name, m.name)) == q.name
-                for q in morphisms
-                if q.dom == x
-            ):
-                identities[x] = m.name
-                break
-    inverses = {}
-    for m in morphisms:
-        idd, idc = identities[m.dom], identities[m.cod]
-        for g in morphisms:
-            if table.get((g.name, m.name)) == idd and table.get((m.name, g.name)) == idc:
-                inverses[m.name] = g.name
-                break
-    return Groupoid(objects, morphisms, table, identities, inverses)
+    return g
 
 
 # -- fixtures ---------------------------------------------------------------

@@ -9,8 +9,10 @@ the subset-inclusion order, and compare_orders documents how the two relate
 (for one-object groupoids the multiplication order is dual to inclusion
 above the empty set).
 
-Lattice analytics compute meets and joins by bounded search over the finite
-poset, then scan triples for distributivity and modularity. A second,
+Meets, joins, the top and the maximum orthogonal elements come from one
+greatest-element routine and are cached on the poset, so every analytic
+reads the same tables; the lattice report then scans triples for
+distributivity and modularity. A second,
 independent route decides distributivity by forbidden-sublattice detection
 (diamond M3 / pentagon N5) so the two can cross-check each other. The
 orthocomplement probe measures, per element, whether a maximum orthogonal
@@ -18,6 +20,7 @@ element exists and which complementation clauses it satisfies.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -40,20 +43,13 @@ from .groupoid import Groupoid, Subgroupoid, is_cyclic_group, subset_point
 
 
 def _poset_violations(leq: np.ndarray, names: Sequence[str]) -> list[Violation]:
-    n = leq.shape[0]
-    out = []
-    for i in range(n):
-        if not leq[i, i]:
-            out.append(Violation("reflexivity", (names[i],)))
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i, j] and leq[j, i]:
-                out.append(Violation("antisymmetry", (names[i], names[j])))
-    closure = leq @ leq
-    for i in range(n):
-        for j in range(n):
-            if closure[i, j] and not leq[i, j]:
-                out.append(Violation("transitivity", (names[i], names[j])))
+    out = [Violation("reflexivity", (names[i],)) for i in np.flatnonzero(~leq.diagonal())]
+    anti = leq & leq.T & ~np.eye(leq.shape[0], dtype=bool)
+    out += [Violation("antisymmetry", (names[i], names[j])) for i, j in np.argwhere(anti)]
+    out += [
+        Violation("transitivity", (names[i], names[j]))
+        for i, j in np.argwhere((leq @ leq) & ~leq)
+    ]
     return out
 
 
@@ -61,33 +57,43 @@ def _orthogonality_violations(
     leq: np.ndarray, orth: np.ndarray, zero_index: int, names: Sequence[str]
 ) -> list[Violation]:
     n = leq.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if orth[i, j] != orth[j, i]:
-                out.append(Violation("orth-symmetry", (names[i], names[j])))
-    for i in range(n):
-        if orth[i, i] and i != zero_index:
-            out.append(
-                Violation("orth-antireflexivity", (names[i],), "self-orthogonal above zero")
+    out = [
+        Violation("orth-symmetry", (names[i], names[j]))
+        for i, j in np.argwhere(np.triu(orth != orth.T, 1))
+    ]
+    out += [
+        Violation("orth-antireflexivity", (names[i],), "self-orthogonal above zero")
+        for i in np.flatnonzero(orth.diagonal() & (np.arange(n) != zero_index))
+    ]
+    # column a of leq @ orth marks every c below some b _|_ a
+    for a in np.flatnonzero(((leq @ orth) & ~orth).any(axis=0)):
+        bad = orth[:, a, None] & leq.T & ~orth[None, :, a]  # [b, c]
+        out += [
+            Violation(
+                "orth-downward-closure",
+                (names[c], names[b], names[a]),
+                "c <= b and b _|_ a but not c _|_ a",
             )
-    for a in range(n):
-        for b in range(n):
-            if not orth[b, a]:
-                continue
-            for c in range(n):
-                if leq[c, b] and not orth[c, a]:
-                    out.append(
-                        Violation(
-                            "orth-downward-closure",
-                            (names[c], names[b], names[a]),
-                            "c <= b and b _|_ a but not c _|_ a",
-                        )
-                    )
-    for i in range(n):
-        if not leq[zero_index, i]:
-            out.append(Violation("zero-bottom", (names[i],), "zero not below element"))
+            for b, c in np.argwhere(bad)
+        ]
+    out += [
+        Violation("zero-bottom", (names[i],), "zero not below element")
+        for i in np.flatnonzero(~leq[zero_index])
+    ]
     return out
+
+
+def _greatest(sets: np.ndarray, leq: np.ndarray) -> np.ndarray:
+    """Greatest member of each row of a boolean (m, n) membership matrix, or -1.
+
+    In a finite poset a greatest member has strictly the largest down-set
+    of its set, so the argmax of down-set size is the only candidate; one
+    pass then checks that every member lies below it.
+    """
+    candidate = np.where(sets, leq.sum(axis=0), -1).argmax(axis=1)
+    below = leq[:, candidate].T  # [row, k]: k <= candidate of row
+    found = sets.any(axis=1) & ~(sets & ~below).any(axis=1)
+    return np.where(found, candidate, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,17 +118,13 @@ class ProjectionPoset:
         leq: np.ndarray,
         orth: np.ndarray,
         zero_index: int,
-        verify: bool = True,
     ) -> "ProjectionPoset":
         leq = np.asarray(leq, dtype=bool).copy()
         orth = np.asarray(orth, dtype=bool).copy()
-        if verify:
-            violations = _poset_violations(leq, names)
-            violations += _orthogonality_violations(leq, orth, zero_index, names)
-            if violations:
-                raise LawViolation(
-                    f"projection order breaks {len(violations)} law(s)", violations
-                )
+        violations = _poset_violations(leq, names)
+        violations += _orthogonality_violations(leq, orth, zero_index, names)
+        if violations:
+            raise LawViolation(f"projection order breaks {len(violations)} law(s)", violations)
         return cls(tuple(points), tuple(names), leq, orth, zero_index)
 
     @property
@@ -135,19 +137,44 @@ class ProjectionPoset:
     def is_leq(self, a: str, b: str) -> bool:
         return bool(self.leq[self.index(a), self.index(b)])
 
+    def _bound_table(self, bound: np.ndarray) -> np.ndarray:
+        """[i, j]: the best common bound of i and j, -1 if none.
+
+        bound[i, k] says k bounds i. The best bound is the greatest in the
+        order bound.T, which is leq for lower bounds and its reverse for upper.
+        """
+        table = np.stack([_greatest(bound[i] & bound, bound.T) for i in range(self.n)])
+        table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def meet(self) -> np.ndarray:
+        """meet[i, j]: index of the greatest lower bound of i and j, -1 if none."""
+        return self._bound_table(self.leq.T)
+
+    @functools.cached_property
+    def join(self) -> np.ndarray:
+        """join[i, j]: index of the least upper bound of i and j, -1 if none."""
+        return self._bound_table(self.leq)
+
+    @functools.cached_property
+    def complement(self) -> np.ndarray:
+        """complement[a]: the maximum element orthogonal to a, -1 if none."""
+        comp = _greatest(self.orth, self.leq)
+        comp.setflags(write=False)
+        return comp
+
     def meet_index(self, i: int, j: int) -> Optional[int]:
-        lower = [k for k in range(self.n) if self.leq[k, i] and self.leq[k, j]]
-        best = [m for m in lower if all(self.leq[l, m] for l in lower)]
-        return best[0] if best else None
+        m = int(self.meet[i, j])
+        return m if m >= 0 else None
 
     def join_index(self, i: int, j: int) -> Optional[int]:
-        upper = [k for k in range(self.n) if self.leq[i, k] and self.leq[j, k]]
-        best = [m for m in upper if all(self.leq[m, l] for l in upper)]
-        return best[0] if best else None
+        m = int(self.join[i, j])
+        return m if m >= 0 else None
 
     def top_index(self) -> Optional[int]:
-        tops = [i for i in range(self.n) if all(self.leq[j, i] for j in range(self.n))]
-        return tops[0] if tops else None
+        top = int(_greatest(np.ones((1, self.n), dtype=bool), self.leq)[0])
+        return top if top >= 0 else None
 
 
 def build_poset(
@@ -301,8 +328,8 @@ def commute_glb_equivalence(
             qp = mult_points(q, p)
             commute = points_equal(pq, qp, tol)
             proj = is_projection(pq, tol)
-            m = poset.meet_index(a, b)
-            glb = m is not None and points_equal(pq, poset.points[m], tol)
+            m = poset.meet[a, b]
+            glb = bool(m >= 0) and points_equal(pq, poset.points[m], tol)
             pairs.append(
                 PairCheck(poset.names[a], poset.names[b], commute, proj, glb)
             )
@@ -349,12 +376,6 @@ class ProbeReport(Report):
         return self.applicable and all(e.passes for e in self.entries)
 
 
-def _max_orthogonal(poset: ProjectionPoset, a: int) -> Optional[int]:
-    ortho = [b for b in range(poset.n) if poset.orth[a, b]]
-    best = [m for m in ortho if all(poset.leq[b, m] for b in ortho)]
-    return best[0] if best else None
-
-
 def orthocomplement_probe(poset: ProjectionPoset) -> ProbeReport:
     """Measure, per element, how close orthogonality comes to complementation.
 
@@ -366,27 +387,24 @@ def orthocomplement_probe(poset: ProjectionPoset) -> ProbeReport:
     top = poset.top_index()
     if top is None:
         return ProbeReport(False, ())
-    comp = {a: _max_orthogonal(poset, a) for a in range(poset.n)}
+    comp = poset.complement
+    has = comp >= 0
     entries = []
     for a in sorted(range(poset.n), key=lambda k: poset.names[k]):
         m = comp[a]
-        if m is None:
+        if m < 0:
             entries.append(ProbeEntry(poset.names[a], False, None, None, None, None, None))
             continue
-        meet = poset.meet_index(a, m)
-        join = poset.join_index(a, m)
-        meet_zero = meet == poset.zero_index
-        join_top = join == top
-        double = comp[m] == a
-        reversing = True
-        for b in range(poset.n):
-            if poset.leq[a, b] and comp[b] is not None:
-                if not poset.leq[comp[b], m]:
-                    reversing = False
-                    break
+        reversing = poset.leq[comp[poset.leq[a] & has], m].all()
         entries.append(
             ProbeEntry(
-                poset.names[a], True, poset.names[m], meet_zero, join_top, double, reversing
+                poset.names[a],
+                True,
+                poset.names[m],
+                bool(poset.meet[a, m] == poset.zero_index),
+                bool(poset.join[a, m] == top),
+                bool(comp[m] == a),
+                bool(reversing),
             )
         )
     return ProbeReport(True, tuple(entries))
@@ -412,65 +430,61 @@ class LatticeReport(Report):
                 "modular_witness", "probe")
 
 
+def _first_true(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    hits = np.argwhere(mask)
+    return tuple(int(k) for k in hits[0]) if len(hits) else None
+
+
 def lattice_report(poset: ProjectionPoset) -> LatticeReport:
-    """Meet/join tables by bounded search, law scans, and the probe.
+    """The cached meet/join tables, law scans, and the probe.
 
     Distributivity and modularity are scanned only when every pair has both
     a meet and a join; otherwise they are reported as not applicable (None).
     Witnesses are the first failing triple in name order.
     """
     n = poset.n
-    order = sorted(range(n), key=lambda k: poset.names[k])
-    meets: dict[tuple[int, int], Optional[int]] = {}
-    joins: dict[tuple[int, int], Optional[int]] = {}
-    missing_meets, missing_joins = [], []
-    for a in order:
-        for b in order:
-            if poset.names[a] > poset.names[b]:
-                continue
-            m = poset.meet_index(a, b)
-            j = poset.join_index(a, b)
-            meets[(a, b)] = meets[(b, a)] = m
-            joins[(a, b)] = joins[(b, a)] = j
-            if m is None:
-                missing_meets.append((poset.names[a], poset.names[b]))
-            if j is None:
-                missing_joins.append((poset.names[a], poset.names[b]))
+    order = np.array(sorted(range(n), key=lambda k: poset.names[k]), dtype=int)
+    names = [poset.names[k] for k in order]
+    rank = np.empty(n + 1, dtype=int)  # rank[-1] keeps -1 (no bound) as -1
+    rank[order], rank[-1] = np.arange(n), -1
+    meet = rank[poset.meet[np.ix_(order, order)]]
+    join = rank[poset.join[np.ix_(order, order)]]
+    leq = poset.leq[np.ix_(order, order)]
+    missing_meets = tuple((names[a], names[b]) for a, b in np.argwhere(np.triu(meet < 0)))
+    missing_joins = tuple((names[a], names[b]) for a, b in np.argwhere(np.triu(join < 0)))
     is_lattice = not missing_meets and not missing_joins
     distributive = modular = None
     dist_wit = mod_wit = None
     if is_lattice:
         distributive, modular = True, True
-        for a in order:
-            for b in order:
-                for c in order:
-                    lhs = meets[(a, joins[(b, c)])]
-                    rhs = joins[(meets[(a, b)], meets[(a, c)])]
-                    if lhs != rhs and dist_wit is None:
-                        distributive = False
-                        dist_wit = (poset.names[a], poset.names[b], poset.names[c])
-                    if poset.leq[a, c]:
-                        ml = joins[(a, meets[(b, c)])]
-                        mr = meets[(joins[(a, b)], c)]
-                        if ml != mr and mod_wit is None:
-                            modular = False
-                            mod_wit = (poset.names[a], poset.names[b], poset.names[c])
-    def name_of(k):
-        return poset.names[k] if k is not None else None
+        for a in range(n):
+            # [b, c]: a ^ (b v c) against (a ^ b) v (a ^ c), and for a <= c,
+            # a v (b ^ c) against (a v b) ^ c
+            if dist_wit is None:
+                hit = _first_true(meet[a][join] != join[meet[a][:, None], meet[a][None, :]])
+                if hit:
+                    distributive, dist_wit = False, (names[a],) + tuple(names[k] for k in hit)
+            if mod_wit is None:
+                hit = _first_true(leq[a][None, :] & (join[a][meet] != meet[join[a]]))
+                if hit:
+                    modular, mod_wit = False, (names[a],) + tuple(names[k] for k in hit)
+            if dist_wit and mod_wit:
+                break
 
-    meet_table = {
-        (poset.names[a], poset.names[b]): name_of(m) for (a, b), m in meets.items()
-    }
-    join_table = {
-        (poset.names[a], poset.names[b]): name_of(j) for (a, b), j in joins.items()
-    }
+    def table(t):
+        return {
+            (names[a], names[b]): names[t[a, b]] if t[a, b] >= 0 else None
+            for a in range(n)
+            for b in range(n)
+        }
+
     return LatticeReport(
-        tuple(sorted(poset.names)),
+        tuple(names),
         is_lattice,
-        tuple(missing_meets),
-        tuple(missing_joins),
-        meet_table,
-        join_table,
+        missing_meets,
+        missing_joins,
+        table(meet),
+        table(join),
         distributive,
         dist_wit,
         modular,
@@ -488,30 +502,24 @@ def forbidden_sublattices(
     distributive exactly when it contains neither, and modular exactly when
     it contains no pentagon, so this cross-checks the law scans.
     """
-    n = poset.n
-    order = sorted(range(n), key=lambda k: poset.names[k])
-    meets = {}
-    joins = {}
-    for a in range(n):
-        for b in range(n):
-            meets[(a, b)] = poset.meet_index(a, b)
-            joins[(a, b)] = poset.join_index(a, b)
+    order = sorted(range(poset.n), key=lambda k: poset.names[k])
+    leq, meets, joins = poset.leq, poset.meet, poset.join
     m3 = None
     for a in order:
         for b in order:
-            if b == a or poset.leq[a, b] or poset.leq[b, a]:
+            if b == a or leq[a, b] or leq[b, a]:
                 continue
             for c in order:
-                if c in (a, b) or poset.leq[a, c] or poset.leq[c, a]:
+                if c in (a, b) or leq[a, c] or leq[c, a]:
                     continue
-                if poset.leq[b, c] or poset.leq[c, b]:
+                if leq[b, c] or leq[c, b]:
                     continue
-                if None in (meets[(a, b)], meets[(a, c)], meets[(b, c)]):
+                if min(meets[a, b], meets[a, c], meets[b, c]) < 0:
                     continue
-                if None in (joins[(a, b)], joins[(a, c)], joins[(b, c)]):
+                if min(joins[a, b], joins[a, c], joins[b, c]) < 0:
                     continue
-                if meets[(a, b)] == meets[(a, c)] == meets[(b, c)] and (
-                    joins[(a, b)] == joins[(a, c)] == joins[(b, c)]
+                if meets[a, b] == meets[a, c] == meets[b, c] and (
+                    joins[a, b] == joins[a, c] == joins[b, c]
                 ):
                     m3 = (poset.names[a], poset.names[b], poset.names[c])
                     break
@@ -522,16 +530,16 @@ def forbidden_sublattices(
     n5 = None
     for a in order:
         for c in order:
-            if a == c or not poset.leq[a, c]:
+            if a == c or not leq[a, c]:
                 continue
             for b in order:
-                if b in (a, c) or poset.leq[b, a] or poset.leq[a, b]:
+                if b in (a, c) or leq[b, a] or leq[a, b]:
                     continue
-                if poset.leq[b, c] or poset.leq[c, b]:
+                if leq[b, c] or leq[c, b]:
                     continue
-                if meets[(b, a)] is None or joins[(b, a)] is None:
+                if meets[b, a] < 0 or joins[b, a] < 0:
                     continue
-                if meets[(b, a)] == meets[(b, c)] and joins[(b, a)] == joins[(b, c)]:
+                if meets[b, a] == meets[b, c] and joins[b, a] == joins[b, c]:
                     n5 = (poset.names[a], poset.names[b], poset.names[c])
                     break
             if n5:
@@ -561,24 +569,10 @@ def compare_orders(first: ProjectionPoset, second: ProjectionPoset) -> OrderComp
     if set(first.names) != set(second.names):
         raise ValueError("posets order different element sets")
     names = sorted(first.names)
-    f = np.zeros((len(names), len(names)), dtype=bool)
-    s = np.zeros_like(f)
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            f[i, j] = first.is_leq(a, b)
-            s[i, j] = second.is_leq(a, b)
-    only_f = [
-        (names[i], names[j])
-        for i in range(len(names))
-        for j in range(len(names))
-        if f[i, j] and not s[i, j]
-    ]
-    only_s = [
-        (names[i], names[j])
-        for i in range(len(names))
-        for j in range(len(names))
-        if s[i, j] and not f[i, j]
-    ]
+    fi = [first.index(x) for x in names]
+    si = [second.index(x) for x in names]
+    f = first.leq[np.ix_(fi, fi)]
+    s = second.leq[np.ix_(si, si)]
     zeros = {first.names[first.zero_index], second.names[second.zero_index]}
     keep = [i for i, nm in enumerate(names) if nm not in zeros]
     fz = f[np.ix_(keep, keep)]
@@ -587,8 +581,8 @@ def compare_orders(first: ProjectionPoset, second: ProjectionPoset) -> OrderComp
         equal=bool(np.array_equal(f, s)),
         dual=bool(np.array_equal(f, s.T)),
         dual_above_zero=bool(np.array_equal(fz, sz.T)),
-        only_in_first=tuple(only_f),
-        only_in_second=tuple(only_s),
+        only_in_first=tuple((names[i], names[j]) for i, j in np.argwhere(f & ~s)),
+        only_in_second=tuple((names[i], names[j]) for i, j in np.argwhere(s & ~f)),
     )
 
 

@@ -47,15 +47,16 @@ def object_to_doc(obj: ObjectRef) -> dict:
 def object_from_doc(doc: dict) -> ObjectRef:
     try:
         backend, size = doc["backend"], int(doc["size"])
+        labels = doc.get("labels")
+        labels = tuple(labels) if labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed object document {doc!r}") from exc
     if backend == FHILB:
-        if "labels" in doc and doc["labels"] is not None:
+        if labels is not None:
             raise ParseError("labels are a rel-only field")
         return fhilb_object(size)
     if backend == REL:
-        labels = doc.get("labels")
-        return rel_object(size, tuple(labels) if labels is not None else None)
+        return rel_object(size, labels)
     raise ParseError(f"unknown backend {backend!r}")
 
 
@@ -81,6 +82,8 @@ def morphism_from_doc(doc: dict) -> Morphism:
         payload = doc["payload"]
     except KeyError as exc:
         raise ParseError(f"morphism document missing field {exc}") from exc
+    except TypeError as exc:
+        raise ParseError("morphism document is not a mapping") from exc
     if backend != dom.backend:
         raise ParseError("backend tag disagrees with dom object")
     try:
@@ -176,12 +179,19 @@ REPORT_KINDS = {
 
 
 def parse_report(doc: dict):
-    """Rebuild a report object from its kind-tagged document."""
+    """Rebuild a report object from its kind-tagged document.
+
+    A missing or wrongly typed field raises ParseError, like any other
+    malformed document.
+    """
     kind = doc.get("kind")
     cls = REPORT_KINDS.get(kind)
     if cls is None:
         raise ParseError(f"unknown report kind {kind!r}")
-    return cls.from_dict(doc)
+    try:
+        return cls.from_dict(doc)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {kind} document: {exc}") from exc
 
 
 def detect_document(doc: dict) -> str:

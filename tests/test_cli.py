@@ -65,6 +65,18 @@ def _pair_outside_carrier(doc):
     doc["unit"]["payload"].append([0, 5])
 
 
+def _mult_not_a_mapping(doc):
+    doc["mult"] = 5
+
+
+def _unit_not_a_mapping(doc):
+    doc["unit"] = [1]
+
+
+def _labels_not_a_list(doc):
+    doc["carrier"]["labels"] = 5
+
+
 def _compose_entry_not_a_list(doc):
     doc["compose"][0] = 5
 
@@ -77,14 +89,27 @@ def _morphisms_not_a_list(doc):
     doc["morphisms"] = 7
 
 
+def _identities_not_a_mapping(doc):
+    doc["identities"] = 5
+
+
+def _inverses_not_a_mapping(doc):
+    doc["inverses"] = 5
+
+
 @pytest.mark.parametrize(
     "target, mutate",
     [
         ("algebra", _bad_carrier),
         ("algebra", _pair_outside_carrier),
+        ("algebra", _mult_not_a_mapping),
+        ("algebra", _unit_not_a_mapping),
+        ("algebra", _labels_not_a_list),
         ("groupoid", _compose_entry_not_a_list),
         ("groupoid", _objects_not_a_list),
         ("groupoid", _morphisms_not_a_list),
+        ("groupoid", _identities_not_a_mapping),
+        ("groupoid", _inverses_not_a_mapping),
     ],
     ids=lambda x: x if isinstance(x, str) else x.__name__.strip("_"),
 )

@@ -1,5 +1,7 @@
 """Projection orders: construction, laws, lattices, probes, comparisons."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,9 @@ from projlat import (
     to_algebra,
     to_dot,
     zero_one_points,
+    Violation,
 )
+from projlat.order import _orthogonality_violations, _poset_violations
 
 TOL = Tolerance(1e-9)
 
@@ -330,3 +334,168 @@ def test_dot_output_is_stable_and_quoted():
     assert out1.startswith('digraph "k4" {\n  rankdir=BT;')
     assert out1.endswith("}\n")
     assert '"{(0,0)}" -> "{(0,0),(0,1)}"' in out1
+
+
+# -- cached tables and vectorised law scans against slow references ----------
+
+
+ORACLE_GROUPOIDS = {
+    "cyclic2": cyclic(2),
+    "cyclic3": cyclic(3),
+    "cyclic4": cyclic(4),
+    "cyclic6": cyclic(6),
+    "klein4": klein4(),
+    "z2xz4": product(cyclic(2), cyclic(4)),
+    "symmetric3": symmetric3(),
+    "dihedral4": dihedral(4),
+    "quaternion8": quaternion8(),
+    "interval": interval(),
+}
+
+
+def _pants3_mixed_rank():
+    # five projections of ranks 1 and 2 with one order and one orthogonality
+    # relation among them, so the family is neither an antichain nor a lattice
+    alg = pants_algebra(3)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+
+    def span(*cols):
+        b = q[:, list(cols)]
+        return b @ b.conj().T
+
+    mats = {
+        "e0": span(0),
+        "e01": span(0, 1),
+        "e12": span(1, 2),
+        "r1": random_projection(3, 1, seed=41),
+        "r2": random_projection(3, 2, seed=42),
+    }
+    return build_poset(alg, [point_from_matrix(alg, m, k) for k, m in mats.items()], TOL)
+
+
+def _pants4_rank2():
+    alg = pants_algebra(4)
+    fam = [
+        point_from_matrix(alg, random_projection(4, 2, seed=s), f"r{s}") for s in range(31, 35)
+    ]
+    return build_poset(alg, fam, TOL)
+
+
+@functools.cache
+def oracle_posets():
+    out = {}
+    for name, g in ORACLE_GROUPOIDS.items():
+        _, mult, incl = groupoid_posets(g)
+        out[f"{name}-mult"] = mult
+        out[f"{name}-inclusion"] = incl
+    out["pants3-mixed-rank"] = _pants3_mixed_rank()
+    out["pants4-rank2"] = _pants4_rank2()
+    return out
+
+
+def _ref_greatest(leq, members):
+    best = [m for m in members if all(leq[k, m] for k in members)]
+    return best[0] if best else -1
+
+
+def ref_order_tables(poset):
+    """Bounded search: every candidate of every set checked against every member."""
+    n, leq = poset.n, poset.leq
+    meet = np.full((n, n), -1)
+    join = np.full((n, n), -1)
+    for i in range(n):
+        for j in range(n):
+            lower = [k for k in range(n) if leq[k, i] and leq[k, j]]
+            upper = [k for k in range(n) if leq[i, k] and leq[j, k]]
+            meet[i, j] = _ref_greatest(leq, lower)
+            join[i, j] = _ref_greatest(leq.T, upper)
+    top = _ref_greatest(leq, range(n))
+    comp = [_ref_greatest(leq, [b for b in range(n) if poset.orth[a, b]]) for a in range(n)]
+    return meet, join, (top if top >= 0 else None), np.array(comp)
+
+
+@pytest.mark.parametrize("name", sorted(oracle_posets()))
+def test_cached_tables_match_bounded_search(name):
+    poset = oracle_posets()[name]
+    meet, join, top, comp = ref_order_tables(poset)
+    assert np.array_equal(poset.meet, meet)
+    assert np.array_equal(poset.join, join)
+    assert poset.top_index() == top
+    assert np.array_equal(poset.complement, comp)
+
+
+def test_oracle_families_include_non_lattices():
+    posets = oracle_posets()
+    for name in ("pants3-mixed-rank", "pants4-rank2"):
+        assert not lattice_report(posets[name]).is_lattice
+    mixed = posets["pants3-mixed-rank"]
+    assert mixed.is_leq("e0", "e01") and mixed.orth[mixed.index("e0"), mixed.index("e12")]
+
+
+def ref_poset_violations(leq, names):
+    n = leq.shape[0]
+    out = []
+    for i in range(n):
+        if not leq[i, i]:
+            out.append(Violation("reflexivity", (names[i],)))
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i, j] and leq[j, i]:
+                out.append(Violation("antisymmetry", (names[i], names[j])))
+    closure = leq @ leq
+    for i in range(n):
+        for j in range(n):
+            if closure[i, j] and not leq[i, j]:
+                out.append(Violation("transitivity", (names[i], names[j])))
+    return out
+
+
+def ref_orthogonality_violations(leq, orth, zero_index, names):
+    n = leq.shape[0]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if orth[i, j] != orth[j, i]:
+                out.append(Violation("orth-symmetry", (names[i], names[j])))
+    for i in range(n):
+        if orth[i, i] and i != zero_index:
+            out.append(
+                Violation("orth-antireflexivity", (names[i],), "self-orthogonal above zero")
+            )
+    for a in range(n):
+        for b in range(n):
+            if not orth[b, a]:
+                continue
+            for c in range(n):
+                if leq[c, b] and not orth[c, a]:
+                    out.append(
+                        Violation(
+                            "orth-downward-closure",
+                            (names[c], names[b], names[a]),
+                            "c <= b and b _|_ a but not c _|_ a",
+                        )
+                    )
+    for i in range(n):
+        if not leq[zero_index, i]:
+            out.append(Violation("zero-bottom", (names[i],), "zero not below element"))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(oracle_posets()))
+def test_vectorised_law_scans_match_loops_on_bit_flips(name):
+    poset = oracle_posets()[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    assert _poset_violations(poset.leq, poset.names) == []
+    assert _orthogonality_violations(poset.leq, poset.orth, poset.zero_index, poset.names) == []
+    n = poset.n
+    for flips in (1, 2, 3, 5, 8):
+        leq, orth = poset.leq.copy(), poset.orth.copy()
+        for rel in rng.choice(2, size=flips):
+            target = leq if rel == 0 else orth
+            i, j = rng.integers(n, size=2)
+            target[i, j] = not target[i, j]
+        got = _poset_violations(leq, poset.names)
+        assert got == ref_poset_violations(leq, poset.names)
+        got = _orthogonality_violations(leq, orth, poset.zero_index, poset.names)
+        assert got == ref_orthogonality_violations(leq, orth, poset.zero_index, poset.names)

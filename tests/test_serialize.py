@@ -1,5 +1,6 @@
 """Document round-trips for every value and report kind."""
 
+import functools
 import json
 
 import numpy as np
@@ -156,6 +157,28 @@ def test_cli_report_kind_round_trips():
 def test_unknown_kind_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_report({"kind": "mystery"})
+
+
+@functools.cache
+def report_docs():
+    return {rep.kind: through_json(rep.to_dict()) for rep in all_reports()}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda docs: {"kind": "axiom_report"},
+        lambda docs: {**docs["lattice_report"], "names": 5},
+        lambda docs: {**docs["lattice_report"], "meet_table": 5},
+        lambda docs: {**docs["probe_report"], "entries": [5]},
+        lambda docs: {**docs["equivalence_report"], "pairs": [{"left": "a"}]},
+    ],
+    ids=["fields-missing", "names-not-a-list", "table-not-a-mapping",
+         "entry-not-a-mapping", "nested-fields-missing"],
+)
+def test_malformed_report_is_a_parse_error(bad):
+    with pytest.raises(ParseError):
+        parse_report(bad(report_docs()))
 
 
 def test_dump_json_is_deterministic():
