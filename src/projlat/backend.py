@@ -231,38 +231,54 @@ def zero_morphism(dom: ObjectRef, cod: ObjectRef) -> Morphism:
     return Morphism(dom, cod, frozenset())
 
 
+@dataclass
+class Defect:
+    """The one comparison rule, accumulated over blocks of two parallel arrays.
+
+    fhilb: residual = max |lhs - rhs|, passing when it is at most epsilon *
+    max(1, max |lhs|, max |rhs|), maxima over all blocks. rel: blocks are
+    path counts read with > 0; residual counts the entries where the two
+    relations differ, and only 0 passes.
+    """
+
+    backend: str
+    residual: float = 0.0
+    scale: float = 1.0
+
+    def add(self, lhs: np.ndarray, rhs: np.ndarray) -> "Defect":
+        if self.backend == REL:
+            self.residual += float(np.count_nonzero((lhs > 0) != (rhs > 0)))
+        elif np.size(lhs):
+            self.residual = max(self.residual, float(np.max(np.abs(lhs - rhs))))
+            self.scale = max(self.scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        return self
+
+    def passed(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        if self.backend == REL:
+            return self.residual == 0
+        return self.residual <= tol.epsilon * self.scale
+
+
+def _require_parallel(f: Morphism, g: Morphism):
+    _require_same_backend(f, g)
+    if f.dom != g.dom or f.cod != g.cod:
+        raise CompositionTypeError(f"parallel morphisms required: {f} vs {g}")
+
+
 def residual(f: Morphism, g: Morphism) -> float:
     """Defect between two parallel morphisms.
 
     fhilb: max entrywise absolute difference. rel: symmetric difference size.
     """
-    _require_same_backend(f, g)
-    if f.dom != g.dom or f.cod != g.cod:
-        raise CompositionTypeError(f"parallel morphisms required: {f} vs {g}")
-    if f.backend == FHILB:
-        if f.payload.size == 0:
-            return 0.0
-        return float(np.max(np.abs(f.payload - g.payload)))
-    return float(len(f.payload ^ g.payload))
+    _require_parallel(f, g)
+    if f.backend == REL:
+        return float(len(f.payload ^ g.payload))
+    return Defect(FHILB).add(f.payload, g.payload).residual
 
 
 def equal(f: Morphism, g: Morphism, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Semantic equality: exact for rel, tolerance-scaled for fhilb.
-
-    The fhilb threshold is epsilon * max(1, largest entry magnitude of
-    either side), so the comparison is absolute near zero and relative for
-    large entries.
-    """
-    _require_same_backend(f, g)
-    if f.dom != g.dom or f.cod != g.cod:
-        raise CompositionTypeError(f"parallel morphisms required: {f} vs {g}")
+    """Semantic equality: exact for rel, Defect's scaled threshold for fhilb."""
+    _require_parallel(f, g)
     if f.backend == REL:
         return f.payload == g.payload
-    if f.payload.size == 0:
-        return True
-    scale = max(
-        1.0,
-        float(np.max(np.abs(f.payload))),
-        float(np.max(np.abs(g.payload))),
-    )
-    return residual(f, g) <= tol.epsilon * scale
+    return Defect(FHILB).add(f.payload, g.payload).passed(tol)

@@ -22,6 +22,7 @@ import numpy as np
 from .backend import (
     DEFAULT_TOL,
     FHILB,
+    Defect,
     Tolerance,
     fhilb_morphism,
     fhilb_object,
@@ -32,71 +33,51 @@ from .errors import BackendMismatch
 from .frobenius import FrobeniusAlgebra, Point
 
 
+def _matrix_algebra(m: np.ndarray, u: np.ndarray) -> FrobeniusAlgebra:
+    """The fhilb algebra with structure tensor m (d x d x d) and unit vector u."""
+    d = len(u)
+    carrier = fhilb_object(d)
+    return FrobeniusAlgebra(
+        carrier,
+        fhilb_morphism(tensor_objects(carrier, carrier), carrier, m.reshape(d, d * d)),
+        fhilb_morphism(unit_object(FHILB), carrier, u.reshape(d, 1)),
+    )
+
+
 def pants_algebra(n: int) -> FrobeniusAlgebra:
     """The matrix algebra M_n as a symmetric dagger Frobenius algebra."""
     if n < 1:
         raise ValueError("pants algebra needs dimension >= 1")
-    d = n * n
-    carrier = fhilb_object(d)
-    mult = np.zeros((d, d * d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                mult[i * n + l, (i * n + j) * d + (j * n + l)] = 1.0
-    unit = np.zeros((d, 1), dtype=np.complex128)
-    for i in range(n):
-        unit[i * n + i, 0] = 1.0
-    pair = tensor_objects(carrier, carrier)
-    return FrobeniusAlgebra(
-        carrier,
-        fhilb_morphism(pair, carrier, mult),
-        fhilb_morphism(unit_object(FHILB), carrier, unit),
-    )
+    return direct_sum([n])
 
 
 def basis_algebra(n: int) -> FrobeniusAlgebra:
     """Copy multiplication of the standard basis of C^n; commutative."""
     if n < 1:
         raise ValueError("basis algebra needs dimension >= 1")
-    carrier = fhilb_object(n)
-    mult = np.zeros((n, n * n), dtype=np.complex128)
-    for i in range(n):
-        mult[i, i * n + i] = 1.0
-    unit = np.ones((n, 1), dtype=np.complex128)
-    pair = tensor_objects(carrier, carrier)
-    return FrobeniusAlgebra(
-        carrier,
-        fhilb_morphism(pair, carrier, mult),
-        fhilb_morphism(unit_object(FHILB), carrier, unit),
-    )
+    m = np.zeros((n, n, n), dtype=np.complex128)
+    m[range(n), range(n), range(n)] = 1.0
+    return _matrix_algebra(m, np.ones(n))
 
 
 def direct_sum(blocks: list[int]) -> FrobeniusAlgebra:
-    """Block-diagonal sum of pants algebras, carrier ordered by block."""
+    """Block-diagonal sum of pants algebras (e_ij e_jl = e_il), carrier ordered by block."""
     if not blocks:
         raise ValueError("direct sum needs at least one block")
     if any(b < 1 for b in blocks):
         raise ValueError("block dimensions must be >= 1")
     total = sum(b * b for b in blocks)
-    carrier = fhilb_object(total)
-    mult = np.zeros((total, total * total), dtype=np.complex128)
-    unit = np.zeros((total, 1), dtype=np.complex128)
+    m = np.zeros((total, total, total), dtype=np.complex128)
+    u = np.zeros(total)
     off = 0
     for b in blocks:
         for i in range(b):
-            unit[off + i * b + i, 0] = 1.0
+            u[off + i * b + i] = 1.0
             for j in range(b):
                 for l in range(b):
-                    row = off + i * b + l
-                    col = (off + i * b + j) * total + (off + j * b + l)
-                    mult[row, col] = 1.0
+                    m[off + i * b + l, off + i * b + j, off + j * b + l] = 1.0
         off += b * b
-    pair = tensor_objects(carrier, carrier)
-    return FrobeniusAlgebra(
-        carrier,
-        fhilb_morphism(pair, carrier, mult),
-        fhilb_morphism(unit_object(FHILB), carrier, unit),
-    )
+    return _matrix_algebra(m, u)
 
 
 # -- the rho <-> p_rho correspondence ---------------------------------------
@@ -154,8 +135,7 @@ def zero_one_points(alg: FrobeniusAlgebra) -> list[Point]:
 
 
 def _close(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-    return float(np.abs(a - b).max()) <= tol.epsilon * scale
+    return Defect(FHILB).add(a, b).passed(tol)
 
 
 def is_matrix_projection(mat, tol: Tolerance = DEFAULT_TOL) -> bool:

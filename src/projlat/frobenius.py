@@ -6,6 +6,10 @@ daggers of multiplication and unit, recomputed on access. The induced compact
 structure (cup = comult after unit, cap = counit after mult) makes every such
 algebra self-dual, which is what the conjugation and yanking checks exercise.
 
+Laws and products contract the structure tensor M[k, i, j] (the coefficient
+of e_k in e_i e_j) and the unit vector u. On rel both are 0/1 arrays and a
+contraction counts paths, so reading it with > 0 is relational composition.
+
 Points I -> A multiply through the algebra; projections are the points that
 are idempotent and self-conjugate. All predicates take an explicit tolerance
 and are exact on the rel backend.
@@ -13,21 +17,21 @@ and are exact on the rel backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .backend import (
     DEFAULT_TOL,
     FHILB,
+    Defect,
     Morphism,
     ObjectRef,
     Tolerance,
     compose,
     dagger,
     equal,
-    identity,
-    residual,
-    swap,
-    tensor,
     tensor_objects,
     unit_object,
     zero_morphism,
@@ -86,8 +90,26 @@ class FrobeniusAlgebra:
     def counit(self) -> Morphism:
         return dagger(self.unit)
 
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """M[k, i, j] (d x d x d): complex128 on fhilb, a float32 0/1 array on rel."""
+        d = self.carrier.size
+        if self.backend == FHILB:
+            return self.mult.payload.reshape(d, d, d)
+        m = np.zeros((d, d * d), dtype=np.float32)
+        for col, k in self.mult.payload:
+            m[k, col] = 1.0
+        return m.reshape(d, d, d)
+
+    @cached_property
+    def cup_matrix(self) -> np.ndarray:
+        """The induced cup I -> A (x) A as a d x d array: sum_k conj(M[k, i, j]) u[k]."""
+        return np.tensordot(unit_point(self).vector.conj(), self.structure, 1).conj()
+
     def same_algebra(self, other: "FrobeniusAlgebra") -> bool:
         """Structural identity: same carrier size and identical payloads."""
+        if self is other:
+            return True
         return (
             self.backend == other.backend
             and self.carrier == other.carrier
@@ -114,10 +136,23 @@ class Point:
     def renamed(self, name: str) -> "Point":
         return Point(self.algebra, self.morphism, name)
 
+    @cached_property
+    def vector(self) -> np.ndarray:
+        """The point's coordinates: complex on fhilb, a float32 0/1 indicator on rel."""
+        if self.algebra.backend == FHILB:
+            return self.morphism.payload[:, 0]
+        v = np.zeros(self.algebra.carrier.size, dtype=np.float32)
+        v[[k for _, k in self.morphism.payload]] = 1.0
+        return v
 
-def _as_point(alg: FrobeniusAlgebra, m: Morphism, name: str | None = None) -> Point:
-    # re-tag dom/cod after unitor index collapses (sizes already agree)
-    return Point(alg, Morphism(unit_object(alg.backend), alg.carrier, m.payload), name)
+
+def _vector_point(alg: FrobeniusAlgebra, vec: np.ndarray) -> Point:
+    """The point with coordinates vec; on rel, the entries > 0."""
+    if alg.backend == FHILB:
+        payload = vec.reshape(-1, 1)
+    else:
+        payload = [(0, k) for k in np.flatnonzero(vec > 0).tolist()]
+    return Point(alg, Morphism(alg.unit.dom, alg.carrier, payload))
 
 
 def _check_same_algebra(p: Point, q: Point):
@@ -157,6 +192,24 @@ class AxiomReport(Report):
         return [name for name in AXIOM_NAMES if not self.results[name]]
 
 
+_BLOCK_ENTRIES = 1 << 18  # output entries per einsum block; bounds a law's temporaries
+
+
+def _blocks(spec: str, *ops: np.ndarray):
+    """einsum(spec, *ops) in blocks of rows of its first output index, each
+    near _BLOCK_ENTRIES entries; every output index has the carrier's size."""
+    inputs, out = spec.split("->")
+    d = ops[0].shape[0]
+    rows = max(1, _BLOCK_ENTRIES // max(1, d ** (len(out) - 1)))
+    for start in range(0, d, rows):
+        cut = slice(start, start + rows)
+        block = [
+            op[(slice(None),) * sub.index(out[0]) + (cut,)] if out[0] in sub else op
+            for sub, op in zip(inputs.split(","), ops)
+        ]
+        yield np.einsum(spec, *block, optimize=True)
+
+
 def check_axioms(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Evaluate all eleven algebra laws and report residuals.
 
@@ -165,81 +218,50 @@ def check_axioms(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> AxiomRe
     (cap after swap = cap), and both yanking zig-zags of the induced
     cup/cap. The dagger condition is structural (comult is defined as the
     dagger of mult) and needs no separate check.
+
+    Each side of a law contracts M (mult), conj(M) (comult), u (unit) and
+    conj(u) (counit) to the entries of its composite.
     """
-    a = alg.carrier
-    one = identity(a)
-    m, u = alg.mult, alg.unit
-    d, e = alg.comult, alg.counit
-    cup = compose(d, u)
-    cap = compose(e, m)
-
-    def pair(name, lhs_fn, rhs_fn):
-        try:
-            lhs = lhs_fn()
-            rhs = rhs_fn()
-            return name, lhs, rhs
-        except (CompositionTypeError, ValueError) as exc:
-            raise CompositionTypeError(f"axiom {name}: {exc}") from exc
-
-    checks = [
-        pair(
-            "associativity",
-            lambda: compose(m, tensor(m, one)),
-            lambda: compose(m, tensor(one, m)),
-        ),
-        pair(
-            "coassociativity",
-            lambda: compose(tensor(d, one), d),
-            lambda: compose(tensor(one, d), d),
-        ),
-        pair("unitality_left", lambda: compose(m, tensor(u, one)), lambda: one),
-        pair("unitality_right", lambda: compose(m, tensor(one, u)), lambda: one),
-        pair("counitality_left", lambda: compose(tensor(e, one), d), lambda: one),
-        pair("counitality_right", lambda: compose(tensor(one, e), d), lambda: one),
-        pair(
-            "frobenius_left",
-            lambda: compose(tensor(one, m), tensor(d, one)),
-            lambda: compose(d, m),
-        ),
-        pair(
-            "frobenius_right",
-            lambda: compose(tensor(m, one), tensor(one, d)),
-            lambda: compose(d, m),
-        ),
-        pair("symmetry", lambda: compose(cap, swap(a, a)), lambda: cap),
-        pair(
-            "yanking_left",
-            lambda: compose(tensor(cap, one), tensor(one, cup)),
-            lambda: one,
-        ),
-        pair(
-            "yanking_right",
-            lambda: compose(tensor(one, cap), tensor(cup, one)),
-            lambda: one,
-        ),
-    ]
-
-    results = {}
-    residuals = {}
-    for name, lhs, rhs in checks:
-        lhs = Morphism(rhs.dom, rhs.cod, lhs.payload)  # unitor re-tag
-        results[name] = equal(lhs, rhs, tol)
-        residuals[name] = residual(lhs, rhs)
+    m, u = alg.structure, unit_point(alg).vector
+    c, e = m.conj(), u.conj()
+    one = np.eye(alg.carrier.size, dtype=m.dtype)
+    cap = np.tensordot(e, m, 1)  # counit after mult, [i, j]
+    cup = alg.cup_matrix  # comult after unit, [i, j]
+    laws = {
+        "associativity": (("lpk,pij->lijk", m, m), ("lip,pjk->lijk", m, m)),
+        "coassociativity": (("lpk,pij->lijk", c, c), ("lip,pjk->lijk", c, c)),
+        "unitality_left": (("kij,i->kj", m, u), ("kj->kj", one)),
+        "unitality_right": (("kij,j->ki", m, u), ("ki->ki", one)),
+        "counitality_left": (("i,kij->jk", e, c), ("jk->jk", one)),
+        "counitality_right": (("j,kij->ik", e, c), ("ik->ik", one)),
+        "frobenius_left": (("ljk,pij->lipk", m, c), ("qil,qpk->lipk", c, m)),
+        "frobenius_right": (("lpi,kij->ljpk", m, c), ("qlj,qpk->ljpk", c, m)),
+        "symmetry": (("ji->ij", cap), ("ij->ij", cap)),
+        "yanking_left": (("ai,ij->ja", cap, cup), ("ja->ja", one)),
+        "yanking_right": (("ij,ja->ia", cup, cap), ("ia->ia", one)),
+    }
+    results, residuals = {}, {}
+    for name in AXIOM_NAMES:
+        lhs, rhs = laws[name]
+        defect = Defect(alg.backend)
+        for left, right in zip(_blocks(*lhs), _blocks(*rhs)):
+            defect.add(left, right)
+        results[name], residuals[name] = defect.passed(tol), defect.residual
     return AxiomReport(results=results, residuals=residuals)
 
 
 def mult_points(p: Point, q: Point) -> Point:
-    """p . q = mult after (p (x) q); the unitor on I (x) I is an index no-op."""
+    """p . q = mult after (p (x) q): sum_ij M[k, i, j] p[i] q[j]."""
     _check_same_algebra(p, q)
-    m = compose(p.algebra.mult, tensor(p.morphism, q.morphism))
-    return _as_point(p.algebra, m)
+    alg = p.algebra
+    d = alg.carrier.size
+    pq = np.outer(p.vector, q.vector).reshape(-1, 1)
+    return _vector_point(alg, (alg.structure.reshape(d, d * d) @ pq)[:, 0])
 
 
 def conjugate_point(p: Point) -> Point:
-    """Bend p through the induced cup: (dagger(p) (x) id) after cup."""
-    alg = p.algebra
-    m = compose(tensor(dagger(p.morphism), identity(alg.carrier)), induced_cup(alg))
-    return _as_point(alg, m)
+    """Bend p through the induced cup: sum_i conj(p[i]) cup[i, j]."""
+    return _vector_point(p.algebra, p.algebra.cup_matrix.T @ p.vector.conj())
 
 
 def zero_point(alg: FrobeniusAlgebra, name: str | None = None) -> Point:
@@ -266,33 +288,31 @@ def is_projection(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_copyable(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """comult after p equals p (x) p, with the I (x) I unitor as an index no-op."""
-    alg = p.algebra
-    lhs = compose(alg.comult, p.morphism)
-    rhs = tensor(p.morphism, p.morphism)
-    lhs = Morphism(rhs.dom, rhs.cod, lhs.payload)
-    return equal(lhs, rhs, tol)
+    """comult after p equals p (x) p: sum_k conj(M[k, i, j]) p[k] = p[i] p[j]."""
+    v = p.vector
+    lhs = np.tensordot(v.conj(), p.algebra.structure, 1).conj()
+    return Defect(p.algebra.backend).add(lhs, np.outer(v, v)).passed(tol)
 
 
 def is_central(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """mult(p (x) -) and mult(- (x) p) agree as endomorphisms of the carrier."""
-    alg = p.algebra
-    one = identity(alg.carrier)
-    left = compose(alg.mult, tensor(p.morphism, one))
-    right = compose(alg.mult, tensor(one, p.morphism))
-    left = Morphism(alg.carrier, alg.carrier, left.payload)
-    right = Morphism(alg.carrier, alg.carrier, right.payload)
-    return equal(left, right, tol)
+    m, v = p.algebra.structure, p.vector
+    left = np.einsum("kij,i->kj", m, v)
+    return Defect(p.algebra.backend).add(left, m @ v).passed(tol)
+
+
+def _commutator(alg: FrobeniusAlgebra) -> Defect:
+    """mult after swap against mult: M[k, j, i] against M[k, i, j]."""
+    return Defect(alg.backend).add(alg.structure.transpose(0, 2, 1), alg.structure)
 
 
 def is_commutative(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
     """mult after swap = mult."""
-    a = alg.carrier
-    return equal(compose(alg.mult, swap(a, a)), alg.mult, tol)
+    return _commutator(alg).passed(tol)
 
 
 def commutativity_defect(alg: FrobeniusAlgebra) -> float:
-    return residual(compose(alg.mult, swap(alg.carrier, alg.carrier)), alg.mult)
+    return _commutator(alg).residual
 
 
 def is_zero_projection(

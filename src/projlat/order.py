@@ -188,7 +188,7 @@ def build_poset(
     points = list(family)
     names = []
     for k, p in enumerate(points):
-        if p.algebra is not alg and not p.algebra.same_algebra(alg):
+        if not p.algebra.same_algebra(alg):
             raise ValueError(f"family member {k} lives on a different algebra")
         if not is_projection(p, tol):
             label = p.name if p.name is not None else f"#{k}"

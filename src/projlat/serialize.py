@@ -51,6 +51,8 @@ def object_from_doc(doc: dict) -> ObjectRef:
         labels = tuple(labels) if labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed object document {doc!r}") from exc
+    if labels is not None and not all(isinstance(x, str) for x in labels):
+        raise ParseError("carrier labels must be strings")
     if backend == FHILB:
         if labels is not None:
             raise ParseError("labels are a rel-only field")
@@ -199,6 +201,8 @@ def detect_document(doc: dict) -> str:
     if not isinstance(doc, dict):
         raise ParseError("document must be a mapping")
     kind = doc.get("kind")
+    if kind is not None and not isinstance(kind, str):
+        raise ParseError(f"document kind must be a string, got {kind!r}")
     if kind in ("algebra", "matrix", "morphism"):
         return kind
     if kind in REPORT_KINDS:

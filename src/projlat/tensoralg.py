@@ -1,7 +1,8 @@
 """Tensor composition of algebras and the bi-order map on projections.
 
 The composed multiplication is (mult_A tensor mult_B) after the middle swap
-(A@B)@(A@B) -> (A@A)@(B@B); the unit is unit_A tensor unit_B. The composed
+(A@B)@(A@B) -> (A@A)@(B@B), that is M[(k,l), (i,j), (i',j')] =
+M_A[k,i,i'] M_B[l,j,j']; the unit is unit_A tensor unit_B. The composed
 algebra inherits all axioms from its components, which is checked (not
 assumed) and attached to the result.
 
@@ -23,11 +24,10 @@ from .backend import (
     Tolerance,
     compose,
     identity,
-    rel_morphism,
-    swap,
     tensor,
     tensor_objects,
     unit_object,
+    zero_morphism,
 )
 import numpy as np
 
@@ -43,22 +43,9 @@ from .frobenius import (
 )
 
 
-def middle_swap(a: ObjectRef, b: ObjectRef) -> Morphism:
-    """The permutation (A@B)@(A@B) -> (A@A)@(B@B): 1_A @ swap(B,A) @ 1_B.
-
-    On indices: (a1, b1, a2, b2) -> (a1, a2, b1, b2) in row-major packing.
-    """
-    return tensor(tensor(identity(a), swap(b, a)), identity(b))
-
-
 def zero_scalar(backend: str) -> Morphism:
     """The zero endomorphism of the monoidal unit."""
-    unit = unit_object(backend)
-    if backend == FHILB:
-        from .backend import fhilb_morphism
-
-        return fhilb_morphism(unit, unit, np.zeros((1, 1)))
-    return rel_morphism(unit, unit, frozenset())
+    return zero_morphism(unit_object(backend), unit_object(backend))
 
 
 def zero_endo(obj: ObjectRef) -> Morphism:
@@ -97,8 +84,13 @@ def tensor_algebras(
             )
     carrier = tensor_objects(a.carrier, b.carrier)
     pair = tensor_objects(carrier, carrier)
-    raw_mult = compose(tensor(a.mult, b.mult), middle_swap(a.carrier, b.carrier))
-    mult = Morphism(pair, carrier, raw_mult.payload)
+    n = carrier.size
+    table = np.einsum("kip,ljq->klijpq", a.structure, b.structure).reshape(n, n * n)
+    if a.backend == FHILB:
+        mult = Morphism(pair, carrier, table)
+    else:
+        rows, cols = np.nonzero(table)
+        mult = Morphism(pair, carrier, zip(cols.tolist(), rows.tolist()))
     raw_unit = tensor(a.unit, b.unit)
     unit = Morphism(unit_object(a.backend), carrier, raw_unit.payload)
     composed = FrobeniusAlgebra(carrier, mult, unit)

@@ -38,6 +38,14 @@ def test_validate_algebra_reports_residuals(capsys):
     assert "associativity" in out
 
 
+def test_validate_pants6_residuals_are_exact_zeros(capsys):
+    code, out, _ = run(["validate", "pants6", "--format", "structured"], capsys)
+    assert code == 0
+    axioms = parse_report(load_json(out)).data["axioms"]
+    assert len(axioms["residuals"]) == 11
+    assert all(r == 0.0 for r in axioms["residuals"].values())
+
+
 def test_backend_assertion_mismatch(capsys):
     code, _, err = run(["validate", "pants2", "--backend", "rel"], capsys)
     assert code == 2
@@ -77,6 +85,14 @@ def _labels_not_a_list(doc):
     doc["carrier"]["labels"] = 5
 
 
+def _labels_are_lists(doc):
+    doc["carrier"]["labels"] = [[1], [2]]
+
+
+def _kind_is_a_list(doc):
+    doc["kind"] = ["algebra"]
+
+
 def _compose_entry_not_a_list(doc):
     doc["compose"][0] = 5
 
@@ -105,6 +121,8 @@ def _inverses_not_a_mapping(doc):
         ("algebra", _mult_not_a_mapping),
         ("algebra", _unit_not_a_mapping),
         ("algebra", _labels_not_a_list),
+        ("algebra", _labels_are_lists),
+        ("algebra", _kind_is_a_list),
         ("groupoid", _compose_entry_not_a_list),
         ("groupoid", _objects_not_a_list),
         ("groupoid", _morphisms_not_a_list),

@@ -19,7 +19,6 @@ from projlat import (
     fhilb_object,
     is_projection,
     klein4,
-    middle_swap,
     mult_points,
     pants_algebra,
     points_equal,
@@ -38,6 +37,8 @@ from projlat import (
     zero_scalar,
     zero_one_points,
 )
+
+from kron_oracle import middle_swap
 
 TOL = Tolerance(1e-9)
 
