@@ -1,20 +1,19 @@
-"""Two executable dagger symmetric monoidal backends.
+"""Two executable dagger symmetric monoidal backends on one array payload.
 
-fhilb: finite-dimensional complex linear maps. A morphism A -> B is a dense
-complex matrix of shape (dim B, dim A); dagger is the conjugate transpose and
-tensor is the Kronecker product.
+A morphism A -> B is an array of shape (size B, size A) and of the dtype
+PAYLOAD_DTYPE gives its backend, so every operation is one array expression.
 
-rel: finite sets and relations. A morphism A -> B is a set of index pairs
-(i, j) with i in the carrier of A and j in the carrier of B; dagger is the
-converse relation and tensor is the cartesian product of carriers.
+fhilb: finite-dimensional complex linear maps; dagger is the conjugate
+transpose and tensor is the Kronecker product.
 
-Both backends share one index convention: the tensor pair (i, j) on A (x) B
-sits at flat index i * size(B) + j. Associated flattenings compose, so
-unitors and associators never need to be materialized; a size-1 object is
-the monoidal unit.
+rel: finite sets and relations as bool matrices, entry [j, i] saying that i
+is related to j; composition is boolean matrix multiplication (OR of ANDs),
+dagger is the converse and tensor is the cartesian product of carriers.
 
-Morphisms are immutable values; every operation returns a fresh value, and
-fhilb payloads are write-protected.
+Both share one index convention: the tensor pair (i, j) on A (x) B sits at
+flat index i * size(B) + j. Associated flattenings compose, so unitors and
+associators never need to be materialized; a size-1 object is the monoidal
+unit. Morphisms are immutable values with write-protected payloads.
 """
 from __future__ import annotations
 
@@ -26,6 +25,7 @@ from .errors import BackendMismatch, CompositionTypeError
 
 FHILB = "fhilb"
 REL = "rel"
+PAYLOAD_DTYPE = {FHILB: np.dtype(np.complex128), REL: np.dtype(np.bool_)}
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class ObjectRef:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.backend not in (FHILB, REL):
+        if self.backend not in PAYLOAD_DTYPE:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == FHILB:
             if self.size < 1:
@@ -92,35 +92,26 @@ def unit_object(backend: str) -> ObjectRef:
 class Morphism:
     """An immutable backend morphism dom -> cod.
 
-    payload: complex matrix (cod.size, dom.size) for fhilb; frozenset of
-    (dom index, cod index) pairs for rel.
+    payload: a write-protected (cod.size, dom.size) array of PAYLOAD_DTYPE,
+    complex on fhilb and bool on rel (any nonzero entry converts to True).
     """
 
     dom: ObjectRef
     cod: ObjectRef
-    payload: object
+    payload: np.ndarray
 
     def __post_init__(self):
         if self.dom.backend != self.cod.backend:
             raise BackendMismatch(f"dom {self.dom} and cod {self.cod} disagree")
-        if self.backend == FHILB:
-            arr = np.array(self.payload, dtype=np.complex128, order="C")
-            if arr.shape != (self.cod.size, self.dom.size):
-                raise CompositionTypeError(
-                    f"payload shape {arr.shape} does not match {self.cod.size}x{self.dom.size}"
-                )
-            if not np.all(np.isfinite(arr.view(np.float64))):
-                raise ValueError("fhilb payload entries must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, "payload", arr)
-        else:
-            pairs = frozenset((int(i), int(j)) for i, j in self.payload)
-            for i, j in pairs:
-                if not (0 <= i < self.dom.size and 0 <= j < self.cod.size):
-                    raise CompositionTypeError(
-                        f"pair ({i}, {j}) outside {self.dom.size}x{self.cod.size} carrier"
-                    )
-            object.__setattr__(self, "payload", pairs)
+        arr = np.array(self.payload, dtype=PAYLOAD_DTYPE[self.backend], order="C")
+        if arr.shape != (self.cod.size, self.dom.size):
+            raise CompositionTypeError(
+                f"payload shape {arr.shape} does not match {self.cod.size}x{self.dom.size}"
+            )
+        if self.backend == FHILB and not np.all(np.isfinite(arr.view(np.float64))):
+            raise ValueError("fhilb payload entries must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "payload", arr)
 
     @property
     def backend(self) -> str:
@@ -129,11 +120,8 @@ class Morphism:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Morphism):
             return NotImplemented
-        if self.backend != other.backend or self.dom != other.dom or self.cod != other.cod:
-            return False
-        if self.backend == FHILB:
-            return bool(np.array_equal(self.payload, other.payload))
-        return self.payload == other.payload
+        same_type = self.dom == other.dom and self.cod == other.cod  # backends included
+        return same_type and np.array_equal(self.payload, other.payload)
 
     __hash__ = None  # value type compared via equal(); not hashable
 
@@ -145,8 +133,33 @@ def fhilb_morphism(dom: ObjectRef, cod: ObjectRef, entries) -> Morphism:
     return Morphism(dom, cod, entries)
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def rel_morphism(dom: ObjectRef, cod: ObjectRef, pairs) -> Morphism:
-    return Morphism(dom, cod, pairs)
+    """The relation on exactly the given (dom index, cod index) pairs, whose
+    indices must be integers inside the carriers."""
+    arr = np.zeros((cod.size, dom.size), dtype=np.bool_)
+    for i, j in pairs:
+        if not (_is_index(i) and _is_index(j)):
+            raise CompositionTypeError(f"pair ({i!r}, {j!r}) has a non-integer index")
+        if not (0 <= i < dom.size and 0 <= j < cod.size):
+            raise CompositionTypeError(f"pair ({i}, {j}) outside {dom.size}x{cod.size} carrier")
+        arr[j, i] = True
+    return Morphism(dom, cod, arr)
+
+
+def related_pairs(f: Morphism) -> list[tuple[int, int]]:
+    """The (dom index, cod index) pairs a rel morphism relates, ordered by
+    cod index, then dom index; the inverse of rel_morphism."""
+    return [(i, j) for j, i in np.argwhere(f.payload).tolist()]
+
+
+def numeric(payload: np.ndarray) -> np.ndarray:
+    """A payload as numbers to contract: complex stays as it is, and a rel
+    bool matrix becomes a float32 0/1 array, so that BLAS runs on it too."""
+    return payload.astype(np.result_type(payload, np.float32), copy=False)
 
 
 def _require_same_backend(f: Morphism, g: Morphism):
@@ -159,13 +172,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     _require_same_backend(f, g)
     if f.dom != g.cod:
         raise CompositionTypeError(f"cannot compose: dom {f.dom} != cod {g.cod}")
-    if f.backend == FHILB:
-        return Morphism(g.dom, f.cod, f.payload @ g.payload)
-    by_mid: dict[int, list[int]] = {}
-    for b, c in f.payload:
-        by_mid.setdefault(b, []).append(c)
-    pairs = {(a, c) for a, b in g.payload for c in by_mid.get(b, ())}
-    return Morphism(g.dom, f.cod, pairs)
+    return Morphism(g.dom, f.cod, f.payload @ g.payload)
 
 
 def tensor_objects(a: ObjectRef, b: ObjectRef) -> ObjectRef:
@@ -178,57 +185,35 @@ def tensor_objects(a: ObjectRef, b: ObjectRef) -> ObjectRef:
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
-    """Monoidal product, row-major index pairing on both sides."""
+    """Monoidal product, row-major index pairing on both sides.
+
+    One broadcast product, because np.kron costs far more per small call.
+    """
     _require_same_backend(f, g)
     dom = tensor_objects(f.dom, g.dom)
     cod = tensor_objects(f.cod, g.cod)
-    if f.backend == FHILB:
-        return Morphism(dom, cod, np.kron(f.payload, g.payload))
-    gd, gc = g.dom.size, g.cod.size
-    pairs = {
-        (i1 * gd + i2, j1 * gc + j2)
-        for i1, j1 in f.payload
-        for i2, j2 in g.payload
-    }
-    return Morphism(dom, cod, pairs)
+    prod = f.payload[:, None, :, None] * g.payload[None, :, None, :]
+    return Morphism(dom, cod, prod.reshape(cod.size, dom.size))
 
 
 def dagger(f: Morphism) -> Morphism:
-    if f.backend == FHILB:
-        return Morphism(f.cod, f.dom, f.payload.conj().T)
-    return Morphism(f.cod, f.dom, {(j, i) for i, j in f.payload})
+    return Morphism(f.cod, f.dom, f.payload.conj().T)
 
 
 def identity(a: ObjectRef) -> Morphism:
-    if a.backend == FHILB:
-        return Morphism(a, a, np.eye(a.size, dtype=np.complex128))
-    return Morphism(a, a, {(i, i) for i in range(a.size)})
+    return Morphism(a, a, np.eye(a.size, dtype=PAYLOAD_DTYPE[a.backend]))
 
 
 def swap(a: ObjectRef, b: ObjectRef) -> Morphism:
     """The symmetry A (x) B -> B (x) A: index i*size(B)+j goes to j*size(A)+i."""
     dom = tensor_objects(a, b)
     cod = tensor_objects(b, a)
-    if a.backend == FHILB:
-        mat = np.zeros((cod.size, dom.size), dtype=np.complex128)
-        for i in range(a.size):
-            for j in range(b.size):
-                mat[j * a.size + i, i * b.size + j] = 1.0
-        return Morphism(dom, cod, mat)
-    pairs = {
-        (i * b.size + j, j * a.size + i)
-        for i in range(a.size)
-        for j in range(b.size)
-    }
-    return Morphism(dom, cod, pairs)
+    source = np.arange(dom.size).reshape(a.size, b.size).T.ravel()  # dom index of each cod index
+    return Morphism(dom, cod, np.eye(dom.size, dtype=PAYLOAD_DTYPE[a.backend])[source])
 
 
 def zero_morphism(dom: ObjectRef, cod: ObjectRef) -> Morphism:
-    if dom.backend != cod.backend:
-        raise BackendMismatch(f"mixed backends {dom.backend!r} and {cod.backend!r}")
-    if dom.backend == FHILB:
-        return Morphism(dom, cod, np.zeros((cod.size, dom.size), dtype=np.complex128))
-    return Morphism(dom, cod, frozenset())
+    return Morphism(dom, cod, np.zeros((cod.size, dom.size), dtype=PAYLOAD_DTYPE[dom.backend]))
 
 
 @dataclass
@@ -237,8 +222,8 @@ class Defect:
 
     fhilb: residual = max |lhs - rhs|, passing when it is at most epsilon *
     max(1, max |lhs|, max |rhs|), maxima over all blocks. rel: blocks are
-    path counts read with > 0; residual counts the entries where the two
-    relations differ, and only 0 passes.
+    bool payloads or nonnegative path counts, read as nonzero; residual
+    counts the entries where the two relations differ, and only 0 passes.
     """
 
     backend: str
@@ -247,7 +232,8 @@ class Defect:
 
     def add(self, lhs: np.ndarray, rhs: np.ndarray) -> "Defect":
         if self.backend == REL:
-            self.residual += float(np.count_nonzero((lhs > 0) != (rhs > 0)))
+            differ = lhs.astype(bool, copy=False) != rhs.astype(bool, copy=False)
+            self.residual += float(np.count_nonzero(differ))
         elif np.size(lhs):
             self.residual = max(self.residual, float(np.max(np.abs(lhs - rhs))))
             self.scale = max(self.scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
@@ -268,17 +254,14 @@ def _require_parallel(f: Morphism, g: Morphism):
 def residual(f: Morphism, g: Morphism) -> float:
     """Defect between two parallel morphisms.
 
-    fhilb: max entrywise absolute difference. rel: symmetric difference size.
+    fhilb: max entrywise absolute difference. rel: the number of pairs in
+    one relation but not the other.
     """
     _require_parallel(f, g)
-    if f.backend == REL:
-        return float(len(f.payload ^ g.payload))
-    return Defect(FHILB).add(f.payload, g.payload).residual
+    return Defect(f.backend).add(f.payload, g.payload).residual
 
 
 def equal(f: Morphism, g: Morphism, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Semantic equality: exact for rel, Defect's scaled threshold for fhilb."""
     _require_parallel(f, g)
-    if f.backend == REL:
-        return f.payload == g.payload
-    return Defect(FHILB).add(f.payload, g.payload).passed(tol)
+    return Defect(f.backend).add(f.payload, g.payload).passed(tol)

@@ -245,13 +245,14 @@ def _rel_scan_points(alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> li
         raise ResourceLimit(f"subset scan needs {2**n} candidates, cap is {max_enum}")
     labels = alg.carrier.labels
     points = []
+    bits = np.arange(n)
     for mask in range(2**n):
-        pairs = frozenset((0, i) for i in range(n) if mask >> i & 1)
+        column = (mask >> bits & 1).reshape(-1, 1)
         if labels is not None and len(labels) == n:
             name = canonical_subset_name(labels[i] for i in range(n) if mask >> i & 1)
         else:
             name = f"s{mask:0{n}b}"
-        p = Point(alg, Morphism(unit_object(REL), alg.carrier, pairs), name)
+        p = Point(alg, Morphism(unit_object(REL), alg.carrier, column), name)
         if is_projection(p, tol):
             points.append(p)
     return points

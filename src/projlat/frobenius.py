@@ -24,7 +24,6 @@ import numpy as np
 
 from .backend import (
     DEFAULT_TOL,
-    FHILB,
     Defect,
     Morphism,
     ObjectRef,
@@ -32,6 +31,7 @@ from .backend import (
     compose,
     dagger,
     equal,
+    numeric,
     tensor_objects,
     unit_object,
     zero_morphism,
@@ -94,12 +94,7 @@ class FrobeniusAlgebra:
     def structure(self) -> np.ndarray:
         """M[k, i, j] (d x d x d): complex128 on fhilb, a float32 0/1 array on rel."""
         d = self.carrier.size
-        if self.backend == FHILB:
-            return self.mult.payload.reshape(d, d, d)
-        m = np.zeros((d, d * d), dtype=np.float32)
-        for col, k in self.mult.payload:
-            m[k, col] = 1.0
-        return m.reshape(d, d, d)
+        return numeric(self.mult.payload).reshape(d, d, d)
 
     @cached_property
     def cup_matrix(self) -> np.ndarray:
@@ -139,20 +134,12 @@ class Point:
     @cached_property
     def vector(self) -> np.ndarray:
         """The point's coordinates: complex on fhilb, a float32 0/1 indicator on rel."""
-        if self.algebra.backend == FHILB:
-            return self.morphism.payload[:, 0]
-        v = np.zeros(self.algebra.carrier.size, dtype=np.float32)
-        v[[k for _, k in self.morphism.payload]] = 1.0
-        return v
+        return numeric(self.morphism.payload)[:, 0]
 
 
 def _vector_point(alg: FrobeniusAlgebra, vec: np.ndarray) -> Point:
-    """The point with coordinates vec; on rel, the entries > 0."""
-    if alg.backend == FHILB:
-        payload = vec.reshape(-1, 1)
-    else:
-        payload = [(0, k) for k in np.flatnonzero(vec > 0).tolist()]
-    return Point(alg, Morphism(alg.unit.dom, alg.carrier, payload))
+    """The point with coordinates vec; on rel, the cast to bool reads counts > 0."""
+    return Point(alg, Morphism(alg.unit.dom, alg.carrier, vec.reshape(-1, 1)))
 
 
 def _check_same_algebra(p: Point, q: Point):

@@ -20,10 +20,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .backend import (
     REL,
-    Morphism,
-    ObjectRef,
     rel_morphism,
     rel_object,
+    related_pairs,
     tensor_objects,
     unit_object,
 )
@@ -486,7 +485,7 @@ def point_names(p: Point) -> frozenset[str]:
     labels = p.algebra.carrier.labels
     if labels is None:
         raise ValueError("carrier has no labels")
-    return frozenset(labels[j] for _, j in p.morphism.payload)
+    return frozenset(labels[j] for _, j in related_pairs(p.morphism))
 
 
 @dataclass(frozen=True)
@@ -691,7 +690,7 @@ def connected_components(g: Groupoid) -> list[Point]:
 
 def _algebra_products(alg: FrobeniusAlgebra) -> list[tuple[int, int, int]]:
     n = alg.carrier.size
-    return [(pair // n, pair % n, k) for pair, k in alg.mult.payload]
+    return [(pair // n, pair % n, k) for pair, k in related_pairs(alg.mult)]
 
 
 def _algebra_components(alg: FrobeniusAlgebra) -> list[frozenset[int]]:
@@ -719,6 +718,10 @@ def enumerate_copyables(
         raise BackendMismatch("copyable enumeration is a rel operation")
     n = alg.carrier.size
     products = _algebra_products(alg)
+    # The scan stops at the first product a mask breaks. Products x e = x and
+    # e x = x rarely break one and go last; along the diagonals of (i + k) mod
+    # n, neighbours differ in i and k, so they reject nearly independently.
+    products.sort(key=lambda p: (p[2] in p[:2], (p[0] + p[2]) % n, p[0]))
     comp_with = [0] * n  # j bits composable on the right of i
     for i, j, _ in products:
         comp_with[i] |= 1 << j

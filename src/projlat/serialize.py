@@ -1,9 +1,10 @@
 """JSON document formats for every shared data shape.
 
-Morphism payloads serialize as [re, im] pairs on the matrix backend and as
-sorted [i, j] index pairs on the relational one, so documents are exact and
-byte-stable. Reports round-trip through a kind-tagged registry; groupoid
-documents are re-validated on load, which makes loading a law check.
+Morphism payloads serialize as rows of [re, im] pairs on the matrix backend
+and as the sorted [i, j] pairs of a bool matrix on the relational one, so
+documents are exact and byte-stable; loading takes only integer indices and
+the declared shape. Reports round-trip through a kind-tagged registry;
+groupoid documents are re-validated on load, which makes loading a law check.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .backend import (
     fhilb_object,
     rel_morphism,
     rel_object,
+    related_pairs,
 )
 from .errors import CompositionTypeError, ParseError, Report
 from .frobenius import AxiomReport, FrobeniusAlgebra
@@ -66,7 +68,7 @@ def morphism_to_doc(m: Morphism) -> dict:
     if m.dom.backend == FHILB:
         payload = [[[float(z.real), float(z.imag)] for z in row] for row in m.payload]
     else:
-        payload = sorted([i, j] for i, j in m.payload)
+        payload = sorted([i, j] for i, j in related_pairs(m))
     return {
         "kind": "morphism",
         "backend": m.dom.backend,
@@ -90,12 +92,8 @@ def morphism_from_doc(doc: dict) -> Morphism:
         raise ParseError("backend tag disagrees with dom object")
     try:
         if backend == FHILB:
-            arr = np.array(
-                [[complex(re, im) for re, im in row] for row in payload],
-                dtype=np.complex128,
-            ).reshape(cod.size, dom.size)
-            return fhilb_morphism(dom, cod, arr)
-        return rel_morphism(dom, cod, frozenset((int(i), int(j)) for i, j in payload))
+            return fhilb_morphism(dom, cod, [[complex(re, im) for re, im in row] for row in payload])
+        return rel_morphism(dom, cod, payload)
     except (TypeError, ValueError) as exc:  # CompositionTypeError included
         raise ParseError(f"malformed {backend} payload: {exc}") from exc
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .backend import (
     DEFAULT_TOL,
-    FHILB,
     Morphism,
     ObjectRef,
     Tolerance,
@@ -86,11 +85,7 @@ def tensor_algebras(
     pair = tensor_objects(carrier, carrier)
     n = carrier.size
     table = np.einsum("kip,ljq->klijpq", a.structure, b.structure).reshape(n, n * n)
-    if a.backend == FHILB:
-        mult = Morphism(pair, carrier, table)
-    else:
-        rows, cols = np.nonzero(table)
-        mult = Morphism(pair, carrier, zip(cols.tolist(), rows.tolist()))
+    mult = Morphism(pair, carrier, table)
     raw_unit = tensor(a.unit, b.unit)
     unit = Morphism(unit_object(a.backend), carrier, raw_unit.payload)
     composed = FrobeniusAlgebra(carrier, mult, unit)

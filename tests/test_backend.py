@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rel_oracle as oracle
 from projlat import (
     BackendMismatch,
     CompositionTypeError,
@@ -17,6 +18,7 @@ from projlat import (
     identity,
     rel_morphism,
     rel_object,
+    related_pairs,
     residual,
     swap,
     tensor,
@@ -63,7 +65,7 @@ def test_fhilb_payload_shape_is_cod_by_dom():
 
 def test_rel_pairs_are_dom_cod_indexed():
     f = rel_morphism(rel_object(2), rel_object(3), {(1, 2)})
-    assert f.payload == frozenset({(1, 2)})
+    assert frozenset(related_pairs(f)) == frozenset({(1, 2)})
     with pytest.raises(CompositionTypeError):
         rel_morphism(rel_object(2), rel_object(3), {(2, 0)})
     with pytest.raises(CompositionTypeError):
@@ -92,7 +94,7 @@ def test_compose_is_f_after_g():
     # g: 1 -> 2 picks index 1, f: 2 -> 2 swaps; composite picks index 0
     g = rel_morphism(rel_object(1), rel_object(2), {(0, 1)})
     f = rel_morphism(rel_object(2), rel_object(2), {(0, 1), (1, 0)})
-    assert compose(f, g).payload == frozenset({(0, 0)})
+    assert frozenset(related_pairs(compose(f, g))) == frozenset({(0, 0)})
 
     a = fhilb_morphism(fhilb_object(2), fhilb_object(2), [[0, 1], [0, 0]])
     b = fhilb_morphism(fhilb_object(2), fhilb_object(2), [[0, 0], [1, 0]])
@@ -107,7 +109,7 @@ def test_tensor_index_pairing_is_row_major():
     # basis state i=1 of a 2-level with j=2 of a 3-level lands at 1*3+2 = 5
     p = rel_morphism(rel_object(1), rel_object(2), {(0, 1)})
     q = rel_morphism(rel_object(1), rel_object(3), {(0, 2)})
-    assert tensor(p, q).payload == frozenset({(0, 5)})
+    assert frozenset(related_pairs(tensor(p, q))) == frozenset({(0, 5)})
 
     u = fhilb_morphism(fhilb_object(1), fhilb_object(2), [[0], [1]])
     v = fhilb_morphism(fhilb_object(1), fhilb_object(3), [[0], [0], [1]])
@@ -118,7 +120,7 @@ def test_tensor_index_pairing_is_row_major():
 def test_swap_table_small():
     s = swap(rel_object(2), rel_object(3))
     want = {(i * 3 + j, j * 2 + i) for i in range(2) for j in range(3)}
-    assert s.payload == frozenset(want)
+    assert frozenset(related_pairs(s)) == frozenset(want)
     sf = swap(fhilb_object(2), fhilb_object(2))
     assert np.array_equal(
         sf.payload,
@@ -214,3 +216,60 @@ def test_dagger_preserves_residual_scale(f):
     # unitary conjugation preserves max-entry scale up to dimension factors
     assert residual(f, f) == 0.0
     assert residual(dagger(f), dagger(f)) == 0.0
+
+
+# -- rel arrays against the pair-set oracle ---------------------------------
+
+
+def _pairs(f) -> frozenset:
+    return frozenset(related_pairs(f))
+
+
+def _rel_carrier(size: int):
+    """Carriers 0-6; size 1 is the monoidal unit itself."""
+    return unit_object("rel") if size == 1 else rel_object(size)
+
+
+@st.composite
+def pair_sets(draw, dom: int, cod: int):
+    if dom == 0 or cod == 0:
+        return frozenset()
+    return draw(rel_pairs(dom, cod))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_rel_arrays_match_pair_set_oracle(data):
+    a, b, c = (data.draw(st.integers(0, 6), label=f"size{n}") for n in range(3))
+    f, h = data.draw(pair_sets(a, b), label="f"), data.draw(pair_sets(a, b), label="h")
+    g, k = data.draw(pair_sets(c, a), label="g"), data.draw(pair_sets(b, c), label="k")
+    A, B, C = _rel_carrier(a), _rel_carrier(b), _rel_carrier(c)
+    mf, mh, mg, mk = (
+        rel_morphism(dom, cod, pairs)
+        for dom, cod, pairs in ((A, B, f), (A, B, h), (C, A, g), (B, C, k))
+    )
+    assert _pairs(mf) == f
+    assert _pairs(compose(mf, mg)) == oracle.compose(f, g)
+    assert _pairs(tensor(mf, mk)) == oracle.tensor(f, k, b, c)
+    assert _pairs(dagger(mf)) == oracle.dagger(f)
+    assert residual(mf, mh) == oracle.residual(f, h)
+    assert equal(mf, mh) == oracle.equal(f, h)
+    assert (mf == mh) == oracle.equal(f, h)
+
+
+@pytest.mark.parametrize("a", range(7))
+@pytest.mark.parametrize("b", range(7))
+def test_rel_constants_match_pair_set_oracle(a, b):
+    A, B = _rel_carrier(a), _rel_carrier(b)
+    assert _pairs(identity(A)) == oracle.identity(a)
+    assert _pairs(swap(A, B)) == oracle.swap(a, b)
+    assert _pairs(zero_morphism(A, B)) == oracle.zero()
+    full = frozenset((i, j) for i in range(a) for j in range(b))
+    everything = rel_morphism(A, B, full)
+    assert _pairs(compose(dagger(everything), everything)) == oracle.compose(
+        oracle.dagger(full), full
+    )
+    assert _pairs(tensor(everything, identity(B))) == oracle.tensor(
+        full, oracle.identity(b), b, b
+    )
+    assert residual(everything, zero_morphism(A, B)) == oracle.residual(full, oracle.zero())

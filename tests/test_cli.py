@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from projlat import cyclic, dump_json, klein4, load_json, pants_algebra, parse_report, to_algebra
+from projlat import cli
 from projlat.cli import main
 from projlat.serialize import algebra_to_doc, groupoid_to_doc
 
@@ -73,6 +74,26 @@ def _pair_outside_carrier(doc):
     doc["unit"]["payload"].append([0, 5])
 
 
+def _unit_index_is_a_float(doc):
+    doc["unit"]["payload"] = [[0.7, 1]]
+
+
+def _unit_index_is_a_string(doc):
+    doc["unit"]["payload"] = [["0", 1]]
+
+
+def _unit_index_is_a_bool(doc):
+    doc["unit"]["payload"] = [[False, 0]]
+
+
+def _unit_index_is_negative(doc):
+    doc["unit"]["payload"] = [[0, -1]]
+
+
+def _unit_is_one_row(doc):
+    doc["unit"]["payload"] = [[row[0] for row in doc["unit"]["payload"]]]
+
+
 def _mult_not_a_mapping(doc):
     doc["mult"] = 5
 
@@ -123,6 +144,11 @@ def _inverses_not_a_mapping(doc):
         ("algebra", _labels_not_a_list),
         ("algebra", _labels_are_lists),
         ("algebra", _kind_is_a_list),
+        ("algebra", _unit_index_is_a_float),
+        ("algebra", _unit_index_is_a_string),
+        ("algebra", _unit_index_is_a_bool),
+        ("algebra", _unit_index_is_negative),
+        ("pants2", _unit_is_one_row),
         ("groupoid", _compose_entry_not_a_list),
         ("groupoid", _objects_not_a_list),
         ("groupoid", _morphisms_not_a_list),
@@ -132,8 +158,11 @@ def _inverses_not_a_mapping(doc):
     ids=lambda x: x if isinstance(x, str) else x.__name__.strip("_"),
 )
 def test_malformed_document_is_a_parse_error(target, mutate, tmp_path, capsys):
-    g = cyclic(2)
-    doc = algebra_to_doc(to_algebra(g)) if target == "algebra" else groupoid_to_doc(g)
+    doc = {
+        "algebra": lambda: algebra_to_doc(to_algebra(cyclic(2))),
+        "pants2": lambda: algebra_to_doc(pants_algebra(2)),
+        "groupoid": lambda: groupoid_to_doc(cyclic(2)),
+    }[target]()
     mutate(doc)
     path = tmp_path / "bad.json"
     path.write_text(dump_json(doc))
@@ -160,6 +189,25 @@ def test_algebra_file_input(tmp_path, capsys):
 def test_missing_path_falls_back_to_basename(capsys):
     code, _, _ = run(["validate", "fixtures/klein4"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("name", ["dihedral4", "cyclic4", "klein4"])
+@pytest.mark.parametrize(
+    "command", [["lattice", "--order", "mult"], ["projections"], ["copyables"]],
+    ids=lambda c: c[0],
+)
+def test_algebra_document_gives_the_groupoid_output(command, name, tmp_path, capsys):
+    """A builtin groupoid and its algebra document take different enumeration
+    paths (Next-Closure against the subset scan) but must report the same."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(dump_json(algebra_to_doc(to_algebra(cli._builtin(name)))))
+    outputs = []
+    for source in (name, str(path)):
+        code, out, _ = run([command[0], source, *command[1:], "--format", "structured"], capsys)
+        doc = load_json(out)
+        assert doc["data"].pop("input") == source
+        outputs.append((code, doc))
+    assert outputs[0] == outputs[1]
 
 
 # -- projections ------------------------------------------------------------
