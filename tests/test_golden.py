@@ -103,6 +103,16 @@ GOLDEN = {
         "8c532ca6ce076e3760b9ec0cc8ef3aecdfb48a9af4962e3df525845c271f2219",
         "c70a0b4ed57945a586c112624d09742e3649dde40247a739229f9a642f09d0b7",
     ),
+    "tensor klein4 interval": (
+        0,
+        "0be1683af92601a3fff926113490aa35cab8f11988c4c39c264eb51657dd84f7",
+        "c489316b378479ae7f0cf4f0a098a0870fa23a801e27c7095d3c760f2f5a2e02",
+    ),
+    "tensor pants2 basis2": (
+        0,
+        "33d19c9f4e2437d018c286a93adf292bd37dd67810b12c1e37957981485f6238",
+        "048cc2def035754fc638f9dec41c8a78c76975ca4bc0a0e6e201d312b77dc923",
+    ),
     "counterexamples all": (
         0,
         "7b1d313e2db0d4cd97fc5ad044e0a2a347be4ff30f995a31283e22596bf642d6",
