@@ -216,33 +216,54 @@ def zero_morphism(dom: ObjectRef, cod: ObjectRef) -> Morphism:
     return Morphism(dom, cod, np.zeros((cod.size, dom.size), dtype=PAYLOAD_DTYPE[dom.backend]))
 
 
+def row_defects(backend: str, lhs: np.ndarray, rhs: np.ndarray, axis=-1):
+    """The residual and scale of Defect's rule along one axis of two
+    broadcastable arrays (all axes if axis is None), one pair per row.
+
+    fhilb: residual = max |lhs - rhs|, scale = max(1, max |lhs|, max |rhs|).
+    rel: entries are bool payloads or nonnegative path counts, read as
+    nonzero; residual counts the entries where the two relations differ.
+    """
+    if backend == REL:
+        differ = lhs.astype(bool, copy=False) != rhs.astype(bool, copy=False)
+        return np.count_nonzero(differ, axis=axis), 1.0
+    gap = np.abs(lhs - rhs).max(axis=axis, initial=0.0)
+    scale = np.maximum(
+        np.abs(lhs).max(axis=axis, initial=1.0), np.abs(rhs).max(axis=axis, initial=1.0)
+    )
+    return gap, scale
+
+
 @dataclass
 class Defect:
-    """The one comparison rule, accumulated over blocks of two parallel arrays.
-
-    fhilb: residual = max |lhs - rhs|, passing when it is at most epsilon *
-    max(1, max |lhs|, max |rhs|), maxima over all blocks. rel: blocks are
-    bool payloads or nonnegative path counts, read as nonzero; residual
-    counts the entries where the two relations differ, and only 0 passes.
-    """
+    """The one comparison rule: rel passes only at residual 0, fhilb at
+    residual <= epsilon * scale. add accumulates row_defects over blocks
+    (rel residuals add up, fhilb residuals and scales take their maximum);
+    rows_equal holds one residual and scale per row instead."""
 
     backend: str
     residual: float = 0.0
     scale: float = 1.0
 
     def add(self, lhs: np.ndarray, rhs: np.ndarray) -> "Defect":
+        residual, scale = row_defects(self.backend, lhs, rhs, axis=None)
         if self.backend == REL:
-            differ = lhs.astype(bool, copy=False) != rhs.astype(bool, copy=False)
-            self.residual += float(np.count_nonzero(differ))
-        elif np.size(lhs):
-            self.residual = max(self.residual, float(np.max(np.abs(lhs - rhs))))
-            self.scale = max(self.scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+            self.residual += float(residual)
+        else:
+            self.residual = max(self.residual, float(residual))
+            self.scale = max(self.scale, float(scale))
         return self
 
-    def passed(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def passed(self, tol: Tolerance = DEFAULT_TOL):
+        """A bool, or one bool per row when the fields are arrays."""
         if self.backend == REL:
             return self.residual == 0
         return self.residual <= tol.epsilon * self.scale
+
+
+def rows_equal(backend: str, lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Per row of the last axis: do lhs and rhs agree under Defect's rule?"""
+    return Defect(backend, *row_defects(backend, lhs, rhs)).passed(tol)
 
 
 def _require_parallel(f: Morphism, g: Morphism):

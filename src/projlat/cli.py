@@ -30,19 +30,17 @@ from .cstar import (
     direct_sum,
     is_matrix_projection,
     pants_algebra,
-    point_from_matrix,
     random_projection,
     subspace_join,
     subspace_meet,
-    zero_one_points,
 )
-from .errors import BackendMismatch, LawViolation, ParseError, ResourceLimit
+from .errors import BackendMismatch, LawViolation, ParseError, ResourceLimit, Violation
 from .frobenius import (
     FrobeniusAlgebra,
     Point,
     check_axioms,
     is_commutative,
-    is_projection,
+    projection_mask,
 )
 from .groupoid import (
     Groupoid,
@@ -169,12 +167,17 @@ def _resolve_raw(spec: str):
     return name, payload
 
 
-def _checked(raw) -> tuple:
+def _checked(raw, tol: Tolerance) -> tuple:
     """Law-check a raw payload into (groupoid or None, algebra)."""
     if isinstance(raw, dict):
         raw = validate(raw)
     if isinstance(raw, Groupoid):
         return raw, to_algebra(raw)
+    failed = check_axioms(raw, tol).failed_axioms()
+    if failed:
+        raise LawViolation(
+            f"algebra fails axioms: {failed}", [Violation("algebra-axioms", (a,)) for a in failed]
+        )
     return None, raw
 
 
@@ -239,39 +242,35 @@ def _require_text_or_structured(args) -> None:
 # -- projection families ----------------------------------------------------
 
 
-def _rel_scan_points(alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
+_SCAN_ROWS = 1 << 12  # 0/1 candidates per block of the projection scan
+
+
+def _scan_points(alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
+    """Every 0/1 coordinate vector that is a projection, in bitmask order."""
     n = alg.carrier.size
     if 2**n > max_enum:
-        raise ResourceLimit(f"subset scan needs {2**n} candidates, cap is {max_enum}")
-    labels = alg.carrier.labels
+        scan = "subset" if alg.backend == REL else "0/1"
+        raise ResourceLimit(f"{scan} scan needs {2**n} candidates, cap is {max_enum}")
+    labels, prefix = alg.carrier.labels, "s" if alg.backend == REL else "b"
     points = []
-    bits = np.arange(n)
-    for mask in range(2**n):
-        column = (mask >> bits & 1).reshape(-1, 1)
-        if labels is not None and len(labels) == n:
-            name = canonical_subset_name(labels[i] for i in range(n) if mask >> i & 1)
-        else:
-            name = f"s{mask:0{n}b}"
-        p = Point(alg, Morphism(unit_object(REL), alg.carrier, column), name)
-        if is_projection(p, tol):
-            points.append(p)
+    for start in range(0, 2**n, _SCAN_ROWS):
+        masks = np.arange(start, min(2**n, start + _SCAN_ROWS))
+        columns = (masks[:, None] >> np.arange(n) & 1).astype(alg.structure.dtype)
+        for mask in masks[projection_mask(alg, columns, tol)].tolist():
+            if labels is None:  # only rel carriers have labels
+                name = f"{prefix}{mask:0{n}b}"
+            else:
+                name = canonical_subset_name(labels[i] for i in range(n) if mask >> i & 1)
+            col = columns[mask - start].reshape(-1, 1)
+            points.append(Point(alg, Morphism(unit_object(alg.backend), alg.carrier, col), name))
     return points
-
-
-def _fhilb_scan_points(alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
-    n = alg.carrier.size
-    if 2**n > max_enum:
-        raise ResourceLimit(f"0/1 scan needs {2**n} candidates, cap is {max_enum}")
-    return [p for p in zero_one_points(alg) if is_projection(p, tol)]
 
 
 def _family(g, alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
     if g is not None:
         subs = enumerate_subgroupoids(g, max_closed=max_enum)
         return subgroupoid_points(alg, subs)
-    if alg.backend == REL:
-        return _rel_scan_points(alg, tol, max_enum)
-    return _fhilb_scan_points(alg, tol, max_enum)
+    return _scan_points(alg, tol, max_enum)
 
 
 def _sample_matrix_projections(alg: FrobeniusAlgebra, tol: Tolerance, seed: int) -> dict:
@@ -280,17 +279,11 @@ def _sample_matrix_projections(alg: FrobeniusAlgebra, tol: Tolerance, seed: int)
     n = int(round(d**0.5))
     if n * n != d:
         return {"sampled": 0, "skipped": "carrier is not a full matrix block"}
-    sampled = 0
-    agreements = 0
-    for k in range(_SAMPLES_PER_RANK):
-        for rank in range(n + 1):
-            mat = random_projection(n, rank, seed + k * (n + 1) + rank)
-            ok_matrix = is_matrix_projection(mat, tol)
-            ok_point = is_projection(point_from_matrix(alg, mat), tol)
-            sampled += 1
-            if ok_matrix and ok_point:
-                agreements += 1
-    return {"sampled": sampled, "agreements": agreements, "all_agree": agreements == sampled}
+    count = _SAMPLES_PER_RANK * (n + 1)  # sample t has rank t % (n + 1) and seed seed + t
+    mats = [random_projection(n, t % (n + 1), seed + t) for t in range(count)]
+    ok_point = projection_mask(alg, np.array([mat.reshape(-1) for mat in mats]), tol)
+    agreements = sum(is_matrix_projection(m, tol) and bool(ok) for m, ok in zip(mats, ok_point))
+    return {"sampled": len(mats), "agreements": agreements, "all_agree": agreements == len(mats)}
 
 
 # -- subcommands ------------------------------------------------------------
@@ -334,7 +327,7 @@ def cmd_projections(args) -> int:
     _require_text_or_structured(args)
     tol = Tolerance(args.tolerance)
     name, raw = _resolve_raw(args.input)
-    g, alg = _checked(raw)
+    g, alg = _checked(raw, tol)
     points = _family(g, alg, tol, args.max_enum)
     poset = build_poset(alg, points, tol)
     orth = check_orthogonality_axioms(poset)
@@ -356,7 +349,7 @@ def cmd_projections(args) -> int:
 def cmd_lattice(args) -> int:
     tol = Tolerance(args.tolerance)
     name, raw = _resolve_raw(args.input)
-    g, alg = _checked(raw)
+    g, alg = _checked(raw, tol)
     if args.order == "inclusion":
         if g is None:
             raise ParseError("the inclusion order needs a groupoid input")
@@ -388,9 +381,9 @@ def cmd_lattice(args) -> int:
 def cmd_copyables(args) -> int:
     _require_text_or_structured(args)
     name, raw = _resolve_raw(args.input)
-    g, alg = _checked(raw)
-    if alg.backend != REL:
+    if getattr(raw, "backend", REL) != REL:  # groupoids live on rel
         raise ParseError("copyable enumeration is defined on the rel backend only")
+    g, alg = _checked(raw, Tolerance(args.tolerance))
     rep = copyables_report(alg)
     data = {"input": name, "report": rep}
     _emit("copyables", data, args)
@@ -402,8 +395,8 @@ def cmd_tensor(args) -> int:
     tol = Tolerance(args.tolerance)
     name_a, raw_a = _resolve_raw(args.left)
     name_b, raw_b = _resolve_raw(args.right)
-    ga, alga = _checked(raw_a)
-    gb, algb = _checked(raw_b)
+    ga, alga = _checked(raw_a, tol)
+    gb, algb = _checked(raw_b, tol)
     ta = tensor_algebras(alga, algb, tol)
     data = {
         "left": name_a,
@@ -532,7 +525,7 @@ def _bundle_fhilb(tol: Tolerance) -> tuple[dict, bool]:
 
 def _bundle_boolean(tol: Tolerance) -> tuple[dict, bool]:
     alg = basis_algebra(3)
-    points = [p for p in zero_one_points(alg) if is_projection(p, tol)]
+    points = _scan_points(alg, tol, 2**alg.carrier.size)
     poset = build_poset(alg, points, tol)
     rep = lattice_report(poset)
     masks = {p.name: k for k, p in enumerate(points)}

@@ -11,8 +11,9 @@ of e_k in e_i e_j) and the unit vector u. On rel both are 0/1 arrays and a
 contraction counts paths, so reading it with > 0 is relational composition.
 
 Points I -> A multiply through the algebra; projections are the points that
-are idempotent and self-conjugate. All predicates take an explicit tolerance
-and are exact on the rel backend.
+are idempotent and self-conjugate. products and projection_mask do both for
+whole stacks of points, with mult_points and is_projection as one-row cases.
+All predicates take an explicit tolerance and are exact on the rel backend.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .backend import (
     dagger,
     equal,
     numeric,
+    rows_equal,
     tensor_objects,
     unit_object,
     zero_morphism,
@@ -95,6 +97,12 @@ class FrobeniusAlgebra:
         """M[k, i, j] (d x d x d): complex128 on fhilb, a float32 0/1 array on rel."""
         d = self.carrier.size
         return numeric(self.mult.payload).reshape(d, d, d)
+
+    @cached_property
+    def left_structure(self) -> np.ndarray:
+        """M as a d x d^2 matrix L[i, (k, j)], so that xs @ L contracts M with rows xs."""
+        d = self.carrier.size
+        return np.ascontiguousarray(self.structure.transpose(1, 0, 2)).reshape(d, d * d)
 
     @cached_property
     def cup_matrix(self) -> np.ndarray:
@@ -237,18 +245,53 @@ def check_axioms(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> AxiomRe
     return AxiomReport(results=results, residuals=residuals)
 
 
+def point_vectors(alg: FrobeniusAlgebra, points) -> np.ndarray:
+    """The coordinates of points as the rows of one (len, d) array."""
+    rows = np.array([p.vector for p in points], dtype=alg.structure.dtype)
+    return rows.reshape(len(points), alg.carrier.size)
+
+
+def _left_blocks(alg: FrobeniusAlgebra, xs: np.ndarray):
+    """(rows, T[a, k, j] = sum_i M[k, i, j] xs[a, i]) in blocks of near _BLOCK_ENTRIES."""
+    d = alg.carrier.size
+    rows = max(1, _BLOCK_ENTRIES // max(1, d * d))
+    for start in range(0, len(xs), rows):
+        cut = slice(start, start + rows)
+        yield cut, (xs[cut] @ alg.left_structure).reshape(len(xs[cut]), d, d)
+
+
+def products(alg: FrobeniusAlgebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """[a, b]: the coordinates of x_a . y_b, for rows xs (n, d) and ys (m, d).
+
+    M is contracted with xs first (n d^2 entries, in blocks), then with ys;
+    the (n m, d^2) outer products of point pairs are never formed.
+    """
+    d = alg.carrier.size
+    out = np.empty((len(xs), len(ys), d), np.result_type(alg.structure, xs, ys))
+    for cut, t in _left_blocks(alg, xs):
+        out[cut] = (t.reshape(len(t) * d, d) @ ys.T).reshape(len(t), d, len(ys)).transpose(0, 2, 1)
+    return out
+
+
+def projection_mask(alg: FrobeniusAlgebra, xs: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Per row of xs: is that point idempotent (x.x = x) and self-conjugate?"""
+    idempotent = np.empty(len(xs), dtype=bool)
+    for cut, t in _left_blocks(alg, xs):
+        square = np.einsum("akj,aj->ak", t, xs[cut])
+        idempotent[cut] = rows_equal(alg.backend, square, xs[cut], tol)
+    conjugate = xs.conj() @ alg.cup_matrix
+    return idempotent & rows_equal(alg.backend, conjugate, xs, tol)
+
+
 def mult_points(p: Point, q: Point) -> Point:
     """p . q = mult after (p (x) q): sum_ij M[k, i, j] p[i] q[j]."""
     _check_same_algebra(p, q)
-    alg = p.algebra
-    d = alg.carrier.size
-    pq = np.outer(p.vector, q.vector).reshape(-1, 1)
-    return _vector_point(alg, (alg.structure.reshape(d, d * d) @ pq)[:, 0])
+    return _vector_point(p.algebra, products(p.algebra, p.vector[None], q.vector[None])[0, 0])
 
 
 def conjugate_point(p: Point) -> Point:
     """Bend p through the induced cup: sum_i conj(p[i]) cup[i, j]."""
-    return _vector_point(p.algebra, p.algebra.cup_matrix.T @ p.vector.conj())
+    return _vector_point(p.algebra, p.vector.conj() @ p.algebra.cup_matrix)
 
 
 def zero_point(alg: FrobeniusAlgebra, name: str | None = None) -> Point:
@@ -269,9 +312,7 @@ def points_equal(p: Point, q: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_projection(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Idempotent (p.p = p) and self-conjugate (p* = p)."""
-    return points_equal(mult_points(p, p), p, tol) and points_equal(
-        conjugate_point(p), p, tol
-    )
+    return bool(projection_mask(p.algebra, p.vector[None], tol)[0])
 
 
 def is_copyable(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -301,16 +342,3 @@ def is_commutative(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
 def commutativity_defect(alg: FrobeniusAlgebra) -> float:
     return _commutator(alg).residual
 
-
-def is_zero_projection(
-    p: Point, family: list[Point], tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """A projection that multiplicatively annihilates every family member."""
-    if not is_projection(p, tol):
-        return False
-    z = zero_point(p.algebra)
-    return all(
-        points_equal(mult_points(p, q), z, tol)
-        and points_equal(mult_points(q, p), z, tol)
-        for q in family
-    )

@@ -9,8 +9,9 @@ assumed) and attached to the result.
 bi_order_check verifies the interchange law
 (p tensor q).(p' tensor q') = (p.p') tensor (q.q') exhaustively over given
 projection families, then the induced order and orthogonality preservation
-in each slot. Zero handling goes through the zero scalar I -> I: tensoring
-any point against a zero yields the zero point of the composed algebra.
+in each slot, all read from one table of products of the tensored points.
+Zero handling goes through the zero scalar I -> I: tensoring any point
+against a zero yields the zero point of the composed algebra.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .backend import (
     Tolerance,
     compose,
     identity,
+    rows_equal,
     tensor,
     tensor_objects,
     unit_object,
@@ -36,8 +38,9 @@ from .frobenius import (
     FrobeniusAlgebra,
     Point,
     check_axioms,
-    mult_points,
+    point_vectors,
     points_equal,
+    products,
     zero_point,
 )
 
@@ -137,95 +140,50 @@ def bi_order_check(
 
     All checks are exhaustive over the given families. Orthogonality on the
     composed algebra is tested against its zero point, which the zero-scalar
-    derivation must reproduce (checked first).
+    derivation must reproduce (checked first). With an empty family there
+    is nothing to check and every count is 0.
     """
-
-    def nm(pt: Point, side: str, k: int) -> str:
-        return pt.name if pt.name is not None else f"{side}{k}"
-
     violations = []
     zero_t = zero_point(ta.algebra)
     if not points_equal(derived_zero_point(ta.algebra), zero_t, tol):
         violations.append(Violation("zero-scalar", ("derived", "direct")))
+    if not (fam_a and fam_b):
+        return BiOrderReport(0, 0, 0, tuple(violations))
+    tensored = [tensor_points(ta, p, q) for p in fam_a for q in fam_b]
+    na, nb, d, backend = len(fam_a), len(fam_b), ta.algebra.carrier.size, ta.algebra.backend
+    a_names = [p.name if p.name is not None else f"A{i}" for i, p in enumerate(fam_a)]
+    b_names = [q.name if q.name is not None else f"B{j}" for j, q in enumerate(fam_b)]
+    va, vb = point_vectors(ta.left, fam_a), point_vectors(ta.right, fam_b)
+    pa, pb = products(ta.left, va, va), products(ta.right, vb, vb)
+    flat = point_vectors(ta.algebra, tensored)
+    vt = flat.reshape(na, nb, d)  # p_i (x) q_j
+    # every table is indexed in scan order [i, i2, j, j2]
+    pt = products(ta.algebra, flat, flat).reshape(na, nb, na, nb, d).transpose(0, 2, 1, 3, 4)
 
-    za, zb = zero_point(ta.left), zero_point(ta.right)
-    tensored = {}
-    for i, p in enumerate(fam_a):
-        for j, q in enumerate(fam_b):
-            tensored[(i, j)] = tensor_points(ta, p, q)
-
-    interchange = 0
-    for i, p in enumerate(fam_a):
-        for i2, p2 in enumerate(fam_a):
-            pa = mult_points(p, p2)
-            for j, q in enumerate(fam_b):
-                for j2, q2 in enumerate(fam_b):
-                    qb = mult_points(q, q2)
-                    lhs = mult_points(tensored[(i, j)], tensored[(i2, j2)])
-                    rhs = tensor_points(ta, pa, qb)
-                    interchange += 1
-                    if not points_equal(lhs, rhs, tol):
-                        violations.append(
-                            Violation(
-                                "interchange",
-                                (nm(p, "A", i), nm(q, "B", j), nm(p2, "A", i2), nm(q2, "B", j2)),
-                            )
-                        )
-
-    def leq(x: Point, y: Point) -> bool:
-        return points_equal(mult_points(x, y), x, tol)
-
-    order = 0
-    for i, p in enumerate(fam_a):
-        for i2, p2 in enumerate(fam_a):
-            if not leq(p, p2):
-                continue
-            for j, q in enumerate(fam_b):
-                order += 1
-                if not leq(tensored[(i, j)], tensored[(i2, j)]):
-                    violations.append(
-                        Violation("left-order", (nm(p, "A", i), nm(p2, "A", i2), nm(q, "B", j)))
-                    )
-    for j, q in enumerate(fam_b):
-        for j2, q2 in enumerate(fam_b):
-            if not leq(q, q2):
-                continue
-            for i, p in enumerate(fam_a):
-                order += 1
-                if not leq(tensored[(i, j)], tensored[(i, j2)]):
-                    violations.append(
-                        Violation("right-order", (nm(q, "B", j), nm(q2, "B", j2), nm(p, "A", i)))
-                    )
-
-    orth = 0
-    for i, p in enumerate(fam_a):
-        for i2, p2 in enumerate(fam_a):
-            if not points_equal(mult_points(p, p2), za, tol):
-                continue
-            for j, q in enumerate(fam_b):
-                for j2, q2 in enumerate(fam_b):
-                    orth += 1
-                    prod = mult_points(tensored[(i, j)], tensored[(i2, j2)])
-                    if not points_equal(prod, zero_t, tol):
-                        violations.append(
-                            Violation(
-                                "left-orthogonality",
-                                (nm(p, "A", i), nm(p2, "A", i2), nm(q, "B", j), nm(q2, "B", j2)),
-                            )
-                        )
-    for j, q in enumerate(fam_b):
-        for j2, q2 in enumerate(fam_b):
-            if not points_equal(mult_points(q, q2), zb, tol):
-                continue
-            for i, p in enumerate(fam_a):
-                for i2, p2 in enumerate(fam_a):
-                    orth += 1
-                    prod = mult_points(tensored[(i, j)], tensored[(i2, j2)])
-                    if not points_equal(prod, zero_t, tol):
-                        violations.append(
-                            Violation(
-                                "right-orthogonality",
-                                (nm(q, "B", j), nm(q2, "B", j2), nm(p, "A", i), nm(p2, "A", i2)),
-                            )
-                        )
-    return BiOrderReport(interchange, order, orth, tuple(violations))
+    # interchange: (p (x) q).(p2 (x) q2) against (p.p2) (x) (q.q2)
+    factorwise = pa[:, :, None, None, :, None] * pb[None, None, :, :, None, :]
+    same = rows_equal(backend, pt, factorwise.reshape(pt.shape), tol)
+    violations += [
+        Violation("interchange", (a_names[i], b_names[j], a_names[i2], b_names[j2]))
+        for i, i2, j, j2 in np.argwhere(~same)
+    ]
+    leq_a = rows_equal(backend, pa, va[:, None], tol)
+    leq_b = rows_equal(backend, pb, vb[:, None], tol)
+    leq_t = rows_equal(backend, pt, vt[:, None, :, None], tol)
+    orth_a = rows_equal(backend, pa, zero_point(ta.left).vector, tol)
+    orth_b = rows_equal(backend, pb, zero_point(ta.right).vector, tol)
+    orth_t = rows_equal(backend, pt, zero_t.vector, tol)
+    a, b = a_names, b_names
+    for law, failed, sides in (  # failures with axes in scan order, and the names of each axis
+        ("left-order", leq_a[:, :, None] & ~np.diagonal(leq_t, axis1=2, axis2=3), (a, a, b)),
+        ("right-order", leq_b[:, :, None] & ~np.diagonal(leq_t, axis1=0, axis2=1), (b, b, a)),
+        ("left-orthogonality", orth_a[:, :, None, None] & ~orth_t, (a, a, b, b)),
+        ("right-orthogonality", orth_b[:, :, None, None] & ~orth_t.transpose(2, 3, 0, 1),
+         (b, b, a, a)),
+    ):
+        violations += [
+            Violation(law, tuple(s[k] for s, k in zip(sides, idx))) for idx in np.argwhere(failed)
+        ]
+    order = int(leq_a.sum()) * nb + int(leq_b.sum()) * na
+    orth = int(orth_a.sum()) * nb * nb + int(orth_b.sum()) * na * na
+    return BiOrderReport(na * na * nb * nb, order, orth, tuple(violations))

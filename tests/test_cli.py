@@ -6,7 +6,21 @@ import sys
 
 import pytest
 
-from projlat import cyclic, dump_json, klein4, load_json, pants_algebra, parse_report, to_algebra
+from projlat import (
+    REL,
+    FrobeniusAlgebra,
+    cyclic,
+    dump_json,
+    klein4,
+    load_json,
+    pants_algebra,
+    parse_report,
+    rel_morphism,
+    rel_object,
+    tensor_objects,
+    to_algebra,
+    unit_object,
+)
 from projlat import cli
 from projlat.cli import main
 from projlat.serialize import algebra_to_doc, groupoid_to_doc
@@ -208,6 +222,46 @@ def test_algebra_document_gives_the_groupoid_output(command, name, tmp_path, cap
         assert doc["data"].pop("input") == source
         outputs.append((code, doc))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["projections"], ["lattice", "--order", "mult"], ["copyables"],
+     ["tensor", "cyclic2"]],
+    ids=lambda c: c[0],
+)
+def test_algebra_document_failing_its_axioms_is_exit_1(command, tmp_path, capsys):
+    """A C3 rel algebra whose unit relates nothing breaks unitality, so no
+    subcommand may analyse it as an algebra."""
+    doc = algebra_to_doc(to_algebra(cyclic(3)))
+    doc["unit"]["payload"] = []
+    path = tmp_path / "c3-empty-unit.json"
+    path.write_text(dump_json(doc))
+    code, out, err = run([command[0], str(path), *command[1:]], capsys)
+    assert code == 1
+    assert "unitality_left" in out + err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["projections"], ["lattice", "--order", "mult"], ["tensor", "cyclic2"]],
+    ids=lambda c: c[0],
+)
+def test_empty_carrier_algebra_document(command, tmp_path, capsys):
+    """The rel algebra on the empty carrier passes its axioms and has one
+    projection, the empty one, so batched products must handle d = 0."""
+    empty = rel_object(0)
+    alg = FrobeniusAlgebra(
+        empty,
+        rel_morphism(tensor_objects(empty, empty), empty, []),
+        rel_morphism(unit_object(REL), empty, []),
+    )
+    path = tmp_path / "empty.json"
+    path.write_text(dump_json(algebra_to_doc(alg)))
+    code, out, _ = run([command[0], str(path), *command[1:]], capsys)
+    assert code == 0
+    if command[0] == "projections":
+        assert "count: 1" in out
 
 
 # -- projections ------------------------------------------------------------
