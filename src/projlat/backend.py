@@ -133,7 +133,7 @@ def fhilb_morphism(dom: ObjectRef, cod: ObjectRef, entries) -> Morphism:
     return Morphism(dom, cod, entries)
 
 
-def _is_index(x) -> bool:
+def is_index(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
@@ -142,7 +142,7 @@ def rel_morphism(dom: ObjectRef, cod: ObjectRef, pairs) -> Morphism:
     indices must be integers inside the carriers."""
     arr = np.zeros((cod.size, dom.size), dtype=np.bool_)
     for i, j in pairs:
-        if not (_is_index(i) and _is_index(j)):
+        if not (is_index(i) and is_index(j)):
             raise CompositionTypeError(f"pair ({i!r}, {j!r}) has a non-integer index")
         if not (0 <= i < dom.size and 0 <= j < cod.size):
             raise CompositionTypeError(f"pair ({i}, {j}) outside {dom.size}x{cod.size} carrier")

@@ -13,6 +13,9 @@ Inputs are either paths to JSON documents or builtin fixture names; a path
 that does not exist falls back to the builtin named by its basename, so
 "fixtures/klein4" and "klein4" both work without any files on disk.
 
+Every rel input takes one Next-Closure path to its projections, with
+--max-enum capping the closed sets; fhilb takes the 0/1 scan (the rel oracle).
+
 Exit codes: 0 when every law and claim checked out, 1 when a law or claim
 failed (resource caps included), 2 for usage and parse errors.
 """
@@ -24,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .backend import DEFAULT_TOL, FHILB, REL, Morphism, Tolerance, unit_object
+from .backend import DEFAULT_TOL, FHILB, REL, Tolerance
 from .cstar import (
     basis_algebra,
     direct_sum,
@@ -40,15 +43,17 @@ from .frobenius import (
     Point,
     check_axioms,
     is_commutative,
+    mask_points,
     projection_mask,
+    zero_one_projections,
 )
 from .groupoid import (
     Groupoid,
-    canonical_subset_name,
     copyables_report,
     cyclic,
     dihedral,
     disjoint_union,
+    enumerate_projections,
     enumerate_subgroupoids,
     groupoid_violations,
     interval,
@@ -242,35 +247,12 @@ def _require_text_or_structured(args) -> None:
 # -- projection families ----------------------------------------------------
 
 
-_SCAN_ROWS = 1 << 12  # 0/1 candidates per block of the projection scan
-
-
-def _scan_points(alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
-    """Every 0/1 coordinate vector that is a projection, in bitmask order."""
-    n = alg.carrier.size
-    if 2**n > max_enum:
-        scan = "subset" if alg.backend == REL else "0/1"
-        raise ResourceLimit(f"{scan} scan needs {2**n} candidates, cap is {max_enum}")
-    labels, prefix = alg.carrier.labels, "s" if alg.backend == REL else "b"
-    points = []
-    for start in range(0, 2**n, _SCAN_ROWS):
-        masks = np.arange(start, min(2**n, start + _SCAN_ROWS))
-        columns = (masks[:, None] >> np.arange(n) & 1).astype(alg.structure.dtype)
-        for mask in masks[projection_mask(alg, columns, tol)].tolist():
-            if labels is None:  # only rel carriers have labels
-                name = f"{prefix}{mask:0{n}b}"
-            else:
-                name = canonical_subset_name(labels[i] for i in range(n) if mask >> i & 1)
-            col = columns[mask - start].reshape(-1, 1)
-            points.append(Point(alg, Morphism(unit_object(alg.backend), alg.carrier, col), name))
-    return points
-
-
 def _family(g, alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
     if g is not None:
-        subs = enumerate_subgroupoids(g, max_closed=max_enum)
-        return subgroupoid_points(alg, subs)
-    return _scan_points(alg, tol, max_enum)
+        return subgroupoid_points(alg, enumerate_subgroupoids(g, max_closed=max_enum))
+    if alg.backend == REL:
+        return mask_points(alg, enumerate_projections(alg, max_closed=max_enum))
+    return mask_points(alg, zero_one_projections(alg, tol, max_enum))
 
 
 def _sample_matrix_projections(alg: FrobeniusAlgebra, tol: Tolerance, seed: int) -> dict:
@@ -525,7 +507,7 @@ def _bundle_fhilb(tol: Tolerance) -> tuple[dict, bool]:
 
 def _bundle_boolean(tol: Tolerance) -> tuple[dict, bool]:
     alg = basis_algebra(3)
-    points = _scan_points(alg, tol, 2**alg.carrier.size)
+    points = mask_points(alg, zero_one_projections(alg, tol, 2**alg.carrier.size))
     poset = build_poset(alg, points, tol)
     rep = lattice_report(poset)
     masks = {p.name: k for k, p in enumerate(points)}

@@ -30,7 +30,7 @@ from .backend import (
     unit_object,
 )
 from .errors import BackendMismatch
-from .frobenius import FrobeniusAlgebra, Point
+from .frobenius import FrobeniusAlgebra, Point, mask_points
 
 
 def _matrix_algebra(m: np.ndarray, u: np.ndarray) -> FrobeniusAlgebra:
@@ -123,12 +123,7 @@ def matrix_from_point(p: Point) -> np.ndarray:
 
 def zero_one_points(alg: FrobeniusAlgebra) -> list[Point]:
     """All 2^n points of a basis algebra with 0/1 coordinates, bitmask order."""
-    n = alg.carrier.size
-    out = []
-    for mask in range(1 << n):
-        vec = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.complex128)
-        out.append(vector_point(alg, vec, f"b{mask:0{n}b}"))
-    return out
+    return mask_points(alg, range(1 << alg.carrier.size))
 
 
 # -- projection matrices and the L(H) lattice -------------------------------

@@ -13,18 +13,21 @@ contraction counts paths, so reading it with > 0 is relational composition.
 Points I -> A multiply through the algebra; projections are the points that
 are idempotent and self-conjugate. products and projection_mask do both for
 whole stacks of points, with mult_points and is_projection as one-row cases.
-All predicates take an explicit tolerance and are exact on the rel backend.
+zero_one_projections, the scan of all 2^d points with 0/1 coordinates, is
+the fhilb projection family and the oracle of Next-Closure on rel. All
+predicates take an explicit tolerance and are exact on the rel backend.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .backend import (
     DEFAULT_TOL,
+    REL,
     Defect,
     Morphism,
     ObjectRef,
@@ -38,7 +41,7 @@ from .backend import (
     unit_object,
     zero_morphism,
 )
-from .errors import CompositionTypeError, Report
+from .errors import CompositionTypeError, Report, ResourceLimit
 
 AXIOM_NAMES = (
     "associativity",
@@ -281,6 +284,45 @@ def projection_mask(alg: FrobeniusAlgebra, xs: np.ndarray, tol: Tolerance = DEFA
         idempotent[cut] = rows_equal(alg.backend, square, xs[cut], tol)
     conjugate = xs.conj() @ alg.cup_matrix
     return idempotent & rows_equal(alg.backend, conjugate, xs, tol)
+
+
+_SCAN_ROWS = 1 << 12  # 0/1 candidates per block of the projection scan
+
+
+def zero_one_projections(alg: FrobeniusAlgebra, tol: Tolerance, max_candidates: int) -> list[int]:
+    """Every 0/1 coordinate vector that is a projection, as the bitmask of its
+    support, in increasing order; more than max_candidates of the 2^d
+    candidates raise ResourceLimit."""
+    n = alg.carrier.size
+    if 2**n > max_candidates:
+        raise ResourceLimit(f"0/1 scan needs {2**n} candidates, cap is {max_candidates}")
+    found = []
+    for start in range(0, 2**n, _SCAN_ROWS):
+        masks = np.arange(start, min(2**n, start + _SCAN_ROWS))
+        columns = (masks[:, None] >> np.arange(n) & 1).astype(alg.structure.dtype)
+        found += masks[projection_mask(alg, columns, tol)].tolist()
+    return found
+
+
+def canonical_subset_name(names: Iterable[str]) -> str:
+    return "{" + ",".join(sorted(names)) + "}"
+
+
+def mask_points(alg: FrobeniusAlgebra, masks: Iterable[int]) -> list[Point]:
+    """The 0/1 points with these support bitmasks, named by the canonical set
+    of their labels, or on a carrier without labels by the bit string
+    (coordinate 0 last) after "s" on rel and "b" on fhilb."""
+    n, labels = alg.carrier.size, alg.carrier.labels
+    points = []
+    for mask in masks:
+        bits = [mask >> i & 1 for i in range(n)]
+        if labels is None:
+            name = f"{'s' if alg.backend == REL else 'b'}{mask:0{n}b}"
+        else:
+            name = canonical_subset_name(label for label, bit in zip(labels, bits) if bit)
+        column = Morphism(alg.unit.dom, alg.carrier, np.reshape(bits, (n, 1)))
+        points.append(Point(alg, column, name))
+    return points
 
 
 def mult_points(p: Point, q: Point) -> Point:

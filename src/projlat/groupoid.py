@@ -9,16 +9,21 @@ to_algebra turns a groupoid into a symmetric dagger Frobenius algebra on the
 rel backend: the carrier is the morphism set, multiplication relates the
 pair (f, g) to f after g on composable pairs, and the unit relates the
 monoidal point to every identity. Projections of that algebra are exactly
-the subgroupoids, which enumerate_subgroupoids lists with Ganter-style
-Next-Closure over the subgroupoid closure operator (brute-force subset scan
-cross-checks small carriers).
+the subgroupoids. enumerate_projections lists the projections of any rel
+algebra, groupoids (through enumerate_subgroupoids) and rel algebra
+documents alike, by Ganter-style Next-Closure over a closure read from the
+cup and the structure tensor; max_closed caps its closed sets. The 0/1
+projection scan cross-checks small carriers and is brute_force_subgroupoids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
+import numpy as np
+
 from .backend import (
+    DEFAULT_TOL,
     REL,
     rel_morphism,
     rel_object,
@@ -34,7 +39,14 @@ from .errors import (
     ResourceLimit,
     Violation,
 )
-from .frobenius import FrobeniusAlgebra, Point
+from .frobenius import (
+    FrobeniusAlgebra,
+    Point,
+    canonical_subset_name,
+    mask_points,
+    projection_mask,
+    zero_one_projections,
+)
 
 MAX_CARRIER = 64
 MAX_CLOSED_SETS = 1_000_000
@@ -72,9 +84,6 @@ class Groupoid:
 
     def morphism_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.morphisms)
-
-    def composable(self, f: str, g: str) -> bool:
-        return self._by_name[f].dom == self._by_name[g].cod
 
     def compose(self, f: str, g: str) -> str:
         """f after g."""
@@ -458,10 +467,6 @@ def to_algebra(g: Groupoid) -> FrobeniusAlgebra:
     )
 
 
-def canonical_subset_name(names: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(names)) + "}"
-
-
 def subset_point(alg: FrobeniusAlgebra, names: Iterable[str], name: str | None = None) -> Point:
     """The subset of the carrier, by label, as a rel point."""
     if alg.backend != REL:
@@ -473,12 +478,8 @@ def subset_point(alg: FrobeniusAlgebra, names: Iterable[str], name: str | None =
     unknown = wanted - set(labels)
     if unknown:
         raise ValueError(f"unknown carrier labels: {sorted(unknown)}")
-    pairs = {(0, i) for i, lab in enumerate(labels) if lab in wanted}
-    return Point(
-        alg,
-        rel_morphism(unit_object(REL), alg.carrier, pairs),
-        name if name is not None else canonical_subset_name(wanted),
-    )
+    (point,) = mask_points(alg, [sum(1 << i for i, lab in enumerate(labels) if lab in wanted)])
+    return point if name is None else point.renamed(name)
 
 
 def point_names(p: Point) -> frozenset[str]:
@@ -498,32 +499,24 @@ class Subgroupoid:
     def name(self) -> str:
         return canonical_subset_name(self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
 
-
-# -- subgroupoid enumeration ------------------------------------------------
+# -- projection enumeration ------------------------------------------------
 
 
 class _Closure:
-    """Bit-level closure context over morphism indices."""
+    """Bit-level closure over carrier indices, read from a rel algebra alone:
+    a closed set holds the conjugates of each member (cup[i, j]) and every
+    product of two members (M[k, i, j])."""
 
-    def __init__(self, g: Groupoid):
-        n = len(g.morphisms)
+    def __init__(self, alg: FrobeniusAlgebra):
+        n = alg.carrier.size
         self.n = n
-        self.require = [0] * n  # identity and inverse bits pulled in by each element
-        for m in g.morphisms:
-            i = g.index[m.name]
-            bits = 1 << g.index[g.identities[m.dom]]
-            bits |= 1 << g.index[g.identities[m.cod]]
-            bits |= 1 << g.index[g.inverses[m.name]]
-            self.require[i] = bits
+        self.require = [  # the conjugates of each element
+            sum(1 << j for j in np.flatnonzero(row).tolist()) for row in alg.cup_matrix > 0
+        ]
         self.by_left: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.by_right: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.products: list[tuple[int, int, int]] = []
-        for (f, gg), h in g.compose_table.items():
-            i, j, k = g.index[f], g.index[gg], g.index[h]
-            self.products.append((i, j, k))
+        for k, i, j in np.argwhere(alg.structure).tolist():
             self.by_left[i].append((j, k))
             self.by_right[j].append((i, k))
 
@@ -548,12 +541,9 @@ class _Closure:
         return closed
 
 
-def _lectic_key(mask: int, n: int) -> int:
-    rev = 0
-    for i in range(n):
-        if mask >> i & 1:
-            rev |= 1 << (n - 1 - i)
-    return rev
+def _bits(mask: int, n: int) -> list[int]:
+    """The 0/1 coordinates of a support bitmask; as a sort key, lectic order."""
+    return [mask >> i & 1 for i in range(n)]
 
 
 def _next_closure_masks(ctx: _Closure, max_closed: int) -> Iterator[int]:
@@ -581,6 +571,45 @@ def _next_closure_masks(ctx: _Closure, max_closed: int) -> Iterator[int]:
         yield a
 
 
+def _scanned_masks(alg: FrobeniusAlgebra) -> list[int]:
+    """The oracle: the 0/1 projection scan, in lectic order."""
+    masks = zero_one_projections(alg, DEFAULT_TOL, 2**BRUTE_FORCE_LIMIT)
+    return sorted(masks, key=lambda m: _bits(m, alg.carrier.size))
+
+
+def enumerate_projections(
+    alg: FrobeniusAlgebra,
+    *,
+    max_closed: int = MAX_CLOSED_SETS,
+    max_carrier: int = MAX_CARRIER,
+    cross_check: Optional[bool] = None,
+) -> list[int]:
+    """The projections of a rel algebra as support bitmasks, in lectic order.
+
+    Every projection is closed under conjugates and products, so Next-Closure
+    lists the closed sets and projection_mask keeps the projections (on a
+    groupoid algebra, all of them: the subgroupoids). When the carrier is
+    small (or cross_check is forced on) the 0/1 projection scan must give
+    the identical list, or a LawViolation is raised.
+    """
+    if alg.backend != REL:
+        raise BackendMismatch("Next-Closure enumerates rel projections only")
+    n = alg.carrier.size
+    if n > max_carrier:
+        raise ResourceLimit(f"carrier {n} exceeds cap {max_carrier}")
+    closed = list(_next_closure_masks(_Closure(alg), max_closed))
+    rows = np.array([_bits(m, n) for m in closed], alg.structure.dtype).reshape(len(closed), n)
+    masks = [m for m, ok in zip(closed, projection_mask(alg, rows).tolist()) if ok]
+    if cross_check or cross_check is None and n <= BRUTE_FORCE_LIMIT:
+        oracle = _scanned_masks(alg)
+        if oracle != masks:
+            raise LawViolation(
+                "Next-Closure enumeration disagrees with the 0/1 projection scan",
+                [Violation("enumeration", (len(masks), len(oracle)))],
+            )
+    return masks
+
+
 def _mask_to_subgroupoid(g: Groupoid, mask: int) -> Subgroupoid:
     return Subgroupoid(
         frozenset(m.name for i, m in enumerate(g.morphisms) if mask >> i & 1)
@@ -588,63 +617,15 @@ def _mask_to_subgroupoid(g: Groupoid, mask: int) -> Subgroupoid:
 
 
 def brute_force_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
-    """Independent oracle: scan every subset and test closure directly."""
-    n = len(g.morphisms)
-    if n > BRUTE_FORCE_LIMIT:
-        raise ResourceLimit(f"brute force limited to {BRUTE_FORCE_LIMIT} morphisms")
-    ctx = _Closure(g)
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest &= rest - 1
-            if ctx.require[i] & ~mask:
-                ok = False
-                break
-        if ok:
-            for i, j, k in ctx.products:
-                if mask >> i & 1 and mask >> j & 1 and not mask >> k & 1:
-                    ok = False
-                    break
-        if ok:
-            out.append(mask)
-    out.sort(key=lambda m: _lectic_key(m, n))
-    return [_mask_to_subgroupoid(g, m) for m in out]
+    """Independent oracle: the 0/1 projection scan of the groupoid algebra."""
+    return [_mask_to_subgroupoid(g, m) for m in _scanned_masks(to_algebra(g))]
 
 
-def enumerate_subgroupoids(
-    g: Groupoid,
-    *,
-    max_closed: int = MAX_CLOSED_SETS,
-    max_carrier: int = MAX_CARRIER,
-    cross_check: Optional[bool] = None,
-) -> list[Subgroupoid]:
-    """All subgroupoids, in lectic order, the empty one included.
-
-    Uses Next-Closure over the subgroupoid closure operator; when the
-    carrier is small (or cross_check is forced on) a brute-force subset scan
-    must produce the identical list, otherwise the enumeration itself is
-    broken and a LawViolation is raised.
-    """
-    n = len(g.morphisms)
-    if n > max_carrier:
-        raise ResourceLimit(f"carrier {n} exceeds cap {max_carrier}")
-    ctx = _Closure(g)
-    masks = list(_next_closure_masks(ctx, max_closed))
-    subs = [_mask_to_subgroupoid(g, m) for m in masks]
-    if cross_check is None:
-        cross_check = n <= BRUTE_FORCE_LIMIT
-    if cross_check:
-        oracle = brute_force_subgroupoids(g)
-        if [s.members for s in oracle] != [s.members for s in subs]:
-            raise LawViolation(
-                "Next-Closure enumeration disagrees with the subset scan",
-                [Violation("enumeration", (len(subs), len(oracle)))],
-            )
-    return subs
+def enumerate_subgroupoids(g: Groupoid, **caps) -> list[Subgroupoid]:
+    """All subgroupoids, in lectic order, the empty one included: the
+    projections of the groupoid algebra, by enumerate_projections, which
+    takes the keyword arguments (max_closed, max_carrier, cross_check)."""
+    return [_mask_to_subgroupoid(g, m) for m in enumerate_projections(to_algebra(g), **caps)]
 
 
 def subgroupoid_points(alg: FrobeniusAlgebra, subs: Iterable[Subgroupoid]) -> list[Point]:
@@ -705,12 +686,10 @@ def _algebra_components(alg: FrobeniusAlgebra) -> list[frozenset[int]]:
     return [frozenset(b) for _, b in sorted(blocks.items())]
 
 
-def enumerate_copyables(
-    alg: FrobeniusAlgebra, *, max_scan: int = BRUTE_FORCE_LIMIT
-) -> list[Point]:
+def enumerate_copyables(alg: FrobeniusAlgebra) -> list[Point]:
     """All rel points satisfying the copying equation, in lectic order.
 
-    Carriers up to max_scan are scanned exhaustively. Above that only the
+    Carriers up to BRUTE_FORCE_LIMIT are scanned exhaustively. Above that only the
     cheap candidates (empty set, each connectivity block, their union) are
     tested pointwise, so the result is sound but not exhaustive.
     """
@@ -741,7 +720,7 @@ def enumerate_copyables(
                 return False  # a pair of members is not composable
         return True
 
-    if n <= max_scan:
+    if n <= BRUTE_FORCE_LIMIT:
         masks = [m for m in range(1 << n) if copyable(m)]
     else:
         candidates = {0}
@@ -754,7 +733,7 @@ def enumerate_copyables(
             union |= bm
         candidates.add(union)
         masks = [m for m in sorted(candidates) if copyable(m)]
-    masks.sort(key=lambda m: _lectic_key(m, n))
+    masks.sort(key=lambda m: _bits(m, n))
     labels = alg.carrier.labels or tuple(str(i) for i in range(n))
     out = []
     for mask in masks:
@@ -787,7 +766,7 @@ class CopyablesReport(Report):
         return not self.missing and not self.extra
 
 
-def copyables_report(alg: FrobeniusAlgebra, *, max_scan: int = BRUTE_FORCE_LIMIT) -> CopyablesReport:
+def copyables_report(alg: FrobeniusAlgebra) -> CopyablesReport:
     """Compare the enumerated copyables with the naive "blocks plus empty" claim.
 
     Copying needs every pair of members to be composable, which puts them
@@ -796,7 +775,7 @@ def copyables_report(alg: FrobeniusAlgebra, *, max_scan: int = BRUTE_FORCE_LIMIT
     therefore reported as missing, not as a law violation.
     """
     labels = alg.carrier.labels or tuple(str(i) for i in range(alg.carrier.size))
-    found = {frozenset(point_names(p)) for p in enumerate_copyables(alg, max_scan=max_scan)}
+    found = {frozenset(point_names(p)) for p in enumerate_copyables(alg)}
     expected = {frozenset(labels[i] for i in block) for block in _algebra_components(alg)}
     expected.add(frozenset())
     return CopyablesReport(

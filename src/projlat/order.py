@@ -262,9 +262,6 @@ class OrthogonalityReport(Report):
     def passed(self) -> bool:
         return not self.violations
 
-    def laws_broken(self) -> list[str]:
-        return sorted({v.law for v in self.violations})
-
 
 def check_orthogonality_axioms(poset: ProjectionPoset) -> OrthogonalityReport:
     """Re-run the three orthogonality axioms, returning witnesses, not raising."""

@@ -21,6 +21,7 @@ from .backend import (
     ObjectRef,
     fhilb_morphism,
     fhilb_object,
+    is_index,
     rel_morphism,
     rel_object,
     related_pairs,
@@ -48,11 +49,13 @@ def object_to_doc(obj: ObjectRef) -> dict:
 
 def object_from_doc(doc: dict) -> ObjectRef:
     try:
-        backend, size = doc["backend"], int(doc["size"])
+        backend, size = doc["backend"], doc["size"]
         labels = doc.get("labels")
         labels = tuple(labels) if labels is not None else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed object document {doc!r}") from exc
+    if not is_index(size):
+        raise ParseError(f"object size {size!r} is not an integer")
     if labels is not None and not all(isinstance(x, str) for x in labels):
         raise ParseError("carrier labels must be strings")
     if backend == FHILB:

@@ -1,14 +1,19 @@
 """Command line behavior: exit codes, formats, bundles, file inputs."""
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlat import (
+    DEFAULT_TOL,
     REL,
     FrobeniusAlgebra,
+    check_axioms,
     cyclic,
     dump_json,
     klein4,
@@ -22,8 +27,12 @@ from projlat import (
     unit_object,
 )
 from projlat import cli
+from projlat.backend import is_index
 from projlat.cli import main
+from projlat.frobenius import zero_one_projections
+from projlat.groupoid import enumerate_projections
 from projlat.serialize import algebra_to_doc, groupoid_to_doc
+from projlat.tensoralg import tensor_algebras
 
 
 def run(args, capsys):
@@ -148,6 +157,16 @@ def _inverses_not_a_mapping(doc):
     doc["inverses"] = 5
 
 
+def _sizes_are_floats(doc):
+    doc["carrier"]["size"] = 2.5
+    doc["mult"]["dom"]["size"] = 4.99
+    doc["unit"]["dom"]["size"] = 1.9
+
+
+def _size_is_a_string(doc):
+    doc["carrier"]["size"] = "2"
+
+
 @pytest.mark.parametrize(
     "target, mutate",
     [
@@ -162,6 +181,8 @@ def _inverses_not_a_mapping(doc):
         ("algebra", _unit_index_is_a_string),
         ("algebra", _unit_index_is_a_bool),
         ("algebra", _unit_index_is_negative),
+        ("algebra", _sizes_are_floats),
+        ("algebra", _size_is_a_string),
         ("pants2", _unit_is_one_row),
         ("groupoid", _compose_entry_not_a_list),
         ("groupoid", _objects_not_a_list),
@@ -205,7 +226,7 @@ def test_missing_path_falls_back_to_basename(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("name", ["dihedral4", "cyclic4", "klein4"])
+@pytest.mark.parametrize("name", ["dihedral4", "cyclic4", "klein4", "dihedral12"])
 @pytest.mark.parametrize(
     "command", [["lattice", "--order", "mult"], ["projections"], ["copyables"]],
     ids=lambda c: c[0],
@@ -262,6 +283,52 @@ def test_empty_carrier_algebra_document(command, tmp_path, capsys):
     assert code == 0
     if command[0] == "projections":
         assert "count: 1" in out
+
+
+# The five rel algebras on carrier 2 that pass check_axioms: (mult pairs, unit pairs).
+_CARRIER_TWO = [
+    ([(0, 0), (1, 1), (2, 1), (3, 0)], [(0, 0)]),  # C2 with unit 0
+    ([(0, 1), (1, 0), (2, 0), (3, 1)], [(0, 1)]),  # C2 with unit 1
+    ([(0, 0), (3, 1)], [(0, 0), (0, 1)]),  # two objects, identities only
+    ([(0, 0), (1, 1), (2, 1), (3, 0), (3, 1)], [(0, 0)]),  # 1.1 = {0, 1}: not special
+    ([(0, 0), (0, 1), (1, 0), (2, 0), (3, 1)], [(0, 1)]),  # 0.0 = {0, 1}: not special
+]
+
+
+@pytest.mark.parametrize("other", [None, "cyclic2", "interval", "klein4"])
+@pytest.mark.parametrize("index", range(len(_CARRIER_TWO)))
+def test_rel_algebra_projections_are_the_zero_one_scan(index, other, tmp_path, capsys):
+    """Next-Closure with the projection filter lists what the definitional
+    scan finds, in lectic order, on special and non-special rel algebras."""
+    two = rel_object(2)
+    mult, unit = _CARRIER_TWO[index]
+    alg = FrobeniusAlgebra(
+        two,
+        rel_morphism(tensor_objects(two, two), two, mult),
+        rel_morphism(unit_object(REL), two, unit),
+    )
+    if other is not None:
+        alg = tensor_algebras(alg, to_algebra(cli._builtin(other))).algebra
+    assert check_axioms(alg).passed
+    n = alg.carrier.size
+    scanned = zero_one_projections(alg, DEFAULT_TOL, 2**n)
+    lectic = sorted(scanned, key=lambda m: [m >> i & 1 for i in range(n)])
+    assert enumerate_projections(alg, cross_check=False) == lectic
+    path = tmp_path / "alg.json"
+    path.write_text(dump_json(algebra_to_doc(alg)))
+    code, out, _ = run(["projections", str(path), "--format", "structured"], capsys)
+    assert code == 0
+    assert load_json(out)["data"]["elements"] == sorted(f"s{m:0{n}b}" for m in lectic)
+    for command in (["lattice", str(path), "--order", "mult"], ["tensor", str(path), "cyclic2"]):
+        assert run(command, capsys)[0] == 0
+
+
+def test_rel_algebra_over_the_closed_set_cap(tmp_path, capsys):
+    path = tmp_path / "c16.json"
+    path.write_text(dump_json(algebra_to_doc(to_algebra(cyclic(16)))))
+    code, _, err = run(["projections", str(path), "--max-enum", "3"], capsys)
+    assert code == 1
+    assert "more than 3 closed sets" in err
 
 
 # -- projections ------------------------------------------------------------
@@ -400,6 +467,49 @@ def test_counterexamples_all(capsys):
 
 def test_unknown_bundle_is_usage_error(capsys):
     assert main(["counterexamples", "nope"]) == 2
+
+
+# -- robustness -------------------------------------------------------------
+
+
+_OTHER_VALUES = (None, True, 0, 2.5, "1", [], {})
+
+
+@st.composite
+def _mutated(draw, value):
+    """value with one change at a drawn place: a value of another type, a key
+    or item dropped, an integer pushed out of range, or a value nested in a list."""
+    if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)) > 0:
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        value[key] = draw(_mutated(value[key]))
+        return value
+    kind = draw(st.sampled_from(["type", "drop", "range", "nest"]))
+    if kind == "drop" and isinstance(value, (dict, list)) and value:
+        del value[draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))]
+        return value
+    if kind == "range" and is_index(value):
+        return value + draw(st.integers(1, 4)) if draw(st.booleans()) else -1 - value
+    if kind == "nest":
+        return [value]
+    others = [v for v in _OTHER_VALUES if type(v) is not type(value)]
+    return copy.deepcopy(draw(st.sampled_from(others)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_documents_end_with_an_exit_code(tmp_path_factory, data):
+    """validate ends every mutated document with exit code 0, 1 or 2."""
+    which = data.draw(st.sampled_from(["algebra", "pants2", "groupoid"]))
+    doc = {
+        "algebra": lambda: algebra_to_doc(to_algebra(cyclic(2))),
+        "pants2": lambda: algebra_to_doc(pants_algebra(2)),
+        "groupoid": lambda: groupoid_to_doc(cyclic(2)),
+    }[which]()
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = data.draw(_mutated(doc))
+    path = tmp_path_factory.mktemp("mutated") / "doc.json"
+    path.write_text(dump_json(doc))
+    assert main(["validate", str(path)]) in (0, 1, 2)
 
 
 # -- wiring -----------------------------------------------------------------
