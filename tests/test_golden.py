@@ -38,6 +38,11 @@ GOLDEN = {
         "f3e88205b05d29b2626e450aaaaaaa81024d1f39e1d5ac2aceefc9f204978338",
         "cb1cf2fe8529fd7ea529aecf8c3cc082d7a04a10be1d21b18eae3f939ced3ffe",
     ),
+    "validate dihedral12": (
+        0,
+        "39356f527052be629deae53498012e635fb5049a1ace1b8eefc4033c8f9beda5",
+        "d6eace48411baf7c46bbc6f5017e5cca03a50b3816fc6c78c87cd0db0cb201bc",
+    ),
     "projections pants2 --seed 7": (
         0,
         "10855dc2e7b46505c854b57cddb43d9ae1727337bbe34c67f7de233acbd264e2",
@@ -68,6 +73,11 @@ GOLDEN = {
         "7048bb9e4108db04cbccca42433e99a4aea5d56bdcc9cdf0d4a8b7e3d80ceb4a",
         "d2f175fb32454dd5ba04e55b8154d4ca2e7152dfe4f2075d65bb5f66ce6fdeea",
     ),
+    "lattice cyclic16 --order inclusion": (
+        0,
+        "13f2a24decb5ec8223aff8a2bd32adf465da03f1b100f4bfcd18e72ee17f6633",
+        "e794c38adffa9a791bbaa03103f742317534e6396dc28f5e6226f404bb2355e1",
+    ),
     "lattice two-intervals --order mult": (
         0,
         "906a173030728a760c65feffd5baf5c2cfbfc3fa0d014686195a80348d9bb225",
@@ -92,6 +102,11 @@ GOLDEN = {
         0,
         "b4d1412b42d56b008cbbbdd974564b30130644ac4c880b7ff569d1940d1b4c4d",
         "fb1d3f63b9dc5b57777c940705ef5f61cc25c74568eb03b30303b8f5e43a1c59",
+    ),
+    "copyables dihedral12": (
+        0,
+        "2557be5fc3924a9805fee4685001362cef0dc1ff1754e5863b4161a6e4fee395",
+        "84ee04fb7ac57adda4daa3556018a981f6655e8c246c60d8c3b5172ced42c557",
     ),
     "tensor cyclic2 cyclic2": (
         0,
