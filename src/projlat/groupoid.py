@@ -14,6 +14,8 @@ algebra, groupoids (through enumerate_subgroupoids) and rel algebra
 documents alike, by Ganter-style Next-Closure over a closure read from the
 cup and the structure tensor; max_closed caps its closed sets. The 0/1
 projection scan cross-checks small carriers and is brute_force_subgroupoids.
+Associativity is checked on an int composition table, and copyables by
+filtering an array of support bitmasks, both with numpy array operations.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .errors import (
     Violation,
 )
 from .frobenius import (
+    _BLOCK_ENTRIES,
     FrobeniusAlgebra,
     Point,
     canonical_subset_name,
@@ -51,6 +54,7 @@ from .frobenius import (
 MAX_CARRIER = 64
 MAX_CLOSED_SETS = 1_000_000
 BRUTE_FORCE_LIMIT = 16
+_MASK_TESTS = 1 << 12  # mask-by-product tests per step of the copyables scan
 
 
 @dataclass(frozen=True)
@@ -183,19 +187,21 @@ def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
     if violations:
         return violations, None  # structural defects make the remaining laws unstatable
 
-    for f in by_name:
-        for g in by_name:
-            if (f, g) not in table:
-                continue
-            for h in by_name:
-                if (g, h) not in table:
-                    continue
-                lhs = table[(table[(f, g)], h)]
-                rhs = table[(f, table[(g, h)])]
-                if lhs != rhs:
-                    violations.append(
-                        Violation("associativity", (f, g, h, lhs, rhs), "(f.g).h != f.(g.h)")
-                    )
+    index = {m.name: i for i, m in enumerate(morphisms)}
+    names, n = list(index), len(index)
+    comp = np.full((n, n), -1)  # comp[f, g] = f after g, -1 where the pair does not compose
+    for (f, g), h in table.items():
+        comp[index[f], index[g]] = index[h]
+    rows = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    for start in range(0, n, rows):
+        fs = np.arange(start, min(n, start + rows))
+        lhs = comp[comp[fs]]  # (f.g).h; entries read through a -1 are masked out below
+        rhs = comp[fs[:, None, None], comp[None]]  # f.(g.h)
+        bad = (comp[fs] >= 0)[:, :, None] & (comp >= 0)[None] & (lhs != rhs)
+        for f, g, h in np.argwhere(bad).tolist():  # row-major: the order of a loop over f, g, h
+            ends = names[lhs[f, g, h]], names[rhs[f, g, h]]
+            witness = (names[start + f], names[g], names[h], *ends)
+            violations.append(Violation("associativity", witness, "(f.g).h != f.(g.h)"))
 
     declared_ids = _declared(doc, "identities")
     identities: dict[str, str] = {}
@@ -674,72 +680,52 @@ def _algebra_products(alg: FrobeniusAlgebra) -> list[tuple[int, int, int]]:
     return [(pair // n, pair % n, k) for pair, k in related_pairs(alg.mult)]
 
 
-def _algebra_components(alg: FrobeniusAlgebra) -> list[frozenset[int]]:
+def _component_masks(alg: FrobeniusAlgebra) -> list[int]:
     n = alg.carrier.size
     uf = _UnionFind(n)
     for i, j, k in _algebra_products(alg):
         uf.union(i, j)
         uf.union(i, k)
-    blocks: dict[int, set[int]] = {}
+    blocks: dict[int, int] = {}
     for i in range(n):
-        blocks.setdefault(uf.find(i), set()).add(i)
-    return [frozenset(b) for _, b in sorted(blocks.items())]
+        root = uf.find(i)
+        blocks[root] = blocks.get(root, 0) | 1 << i
+    return list(blocks.values())
 
 
 def enumerate_copyables(alg: FrobeniusAlgebra) -> list[Point]:
-    """All rel points satisfying the copying equation, in lectic order.
+    """All rel points satisfying the copying equation, in lectic order, named
+    by mask_points. Each test filters a uint64 array of support bitmasks.
 
-    Carriers up to BRUTE_FORCE_LIMIT are scanned exhaustively. Above that only the
+    Carriers up to BRUTE_FORCE_LIMIT scan all 2^n masks. Above that only the
     cheap candidates (empty set, each connectivity block, their union) are
-    tested pointwise, so the result is sound but not exhaustive.
+    tested, so the result is sound but not exhaustive.
     """
     if alg.backend != REL:
         raise BackendMismatch("copyable enumeration is a rel operation")
     n = alg.carrier.size
     products = _algebra_products(alg)
-    # The scan stops at the first product a mask breaks. Products x e = x and
-    # e x = x rarely break one and go last; along the diagonals of (i + k) mod
-    # n, neighbours differ in i and k, so they reject nearly independently.
+    # A step tests one product while the array is long, many once it is short.
+    # It shrinks fastest if early products reject independently: x e = x and
+    # e x = x rarely break a mask and go last; along the diagonals of
+    # (i + k) mod n, neighbours differ in i and k.
     products.sort(key=lambda p: (p[2] in p[:2], (p[0] + p[2]) % n, p[0]))
-    comp_with = [0] * n  # j bits composable on the right of i
-    for i, j, _ in products:
-        comp_with[i] |= 1 << j
-
-    def copyable(mask: int) -> bool:
-        for i, j, k in products:
-            inside = bool(mask >> i & 1 and mask >> j & 1)
-            if bool(mask >> k & 1) != inside:
-                # product membership must match pair membership both ways
-                return False
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest &= rest - 1
-            if mask & ~comp_with[i]:
-                return False  # a pair of members is not composable
-        return True
-
+    bits = np.arange(n, dtype=np.uint64)
+    comp_with = (alg.structure.any(0).astype(np.uint64) << bits).sum(1)  # j composable after i
     if n <= BRUTE_FORCE_LIMIT:
-        masks = [m for m in range(1 << n) if copyable(m)]
+        masks = np.arange(1 << n, dtype=np.uint64)
     else:
-        candidates = {0}
-        union = 0
-        for block in _algebra_components(alg):
-            bm = 0
-            for i in block:
-                bm |= 1 << i
-            candidates.add(bm)
-            union |= bm
-        candidates.add(union)
-        masks = [m for m in sorted(candidates) if copyable(m)]
-    masks.sort(key=lambda m: _bits(m, n))
-    labels = alg.carrier.labels or tuple(str(i) for i in range(n))
-    out = []
-    for mask in masks:
-        names = [labels[i] for i in range(n) if mask >> i & 1]
-        out.append(subset_point(alg, names))
-    return out
+        blocks = _component_masks(alg)
+        masks = np.array(sorted({0, sum(blocks), *blocks}), dtype=np.uint64)
+    ijk, done = np.array(products, dtype=np.uint64).reshape(-1, 3), 0
+    while done < len(ijk):  # product membership must match pair membership
+        i, j, k = ijk[done : done + max(1, _MASK_TESTS // max(1, len(masks)))].T
+        col = masks[:, None]
+        masks = masks[(col >> k & 1 == col >> i & col >> j & 1).all(1)]
+        done += len(i)
+    col = masks[:, None]
+    masks = masks[((col >> bits & 1 == 0) | (col & ~comp_with == 0)).all(1)]  # members compose
+    return mask_points(alg, sorted(masks.tolist(), key=lambda m: _bits(m, n)))
 
 
 @dataclass(frozen=True)
@@ -774,17 +760,17 @@ def copyables_report(alg: FrobeniusAlgebra) -> CopyablesReport:
     component, which can have no other object. A multi-object component is
     therefore reported as missing, not as a law violation.
     """
-    labels = alg.carrier.labels or tuple(str(i) for i in range(alg.carrier.size))
-    found = {frozenset(point_names(p)) for p in enumerate_copyables(alg)}
-    expected = {frozenset(labels[i] for i in block) for block in _algebra_components(alg)}
-    expected.add(frozenset())
+    found = {sum(1 << int(i) for i in np.flatnonzero(p.vector)) for p in enumerate_copyables(alg)}
+    expected = {0, *_component_masks(alg)}
+
+    def names(masks) -> tuple[str, ...]:
+        return tuple(sorted(p.name for p in mask_points(alg, masks)))
+
     return CopyablesReport(
-        copyables=tuple(sorted(canonical_subset_name(s) for s in found)),
-        components=tuple(
-            sorted(canonical_subset_name(s) for s in expected if s)
-        ),
-        missing=tuple(sorted(canonical_subset_name(s) for s in expected - found)),
-        extra=tuple(sorted(canonical_subset_name(s) for s in found - expected)),
+        copyables=names(found),
+        components=names(expected - {0}),
+        missing=names(expected - found),
+        extra=names(found - expected),
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupoid_oracle
 from projlat import (
     DEFAULT_TOL,
     REL,
@@ -295,11 +296,8 @@ _CARRIER_TWO = [
 ]
 
 
-@pytest.mark.parametrize("other", [None, "cyclic2", "interval", "klein4"])
-@pytest.mark.parametrize("index", range(len(_CARRIER_TWO)))
-def test_rel_algebra_projections_are_the_zero_one_scan(index, other, tmp_path, capsys):
-    """Next-Closure with the projection filter lists what the definitional
-    scan finds, in lectic order, on special and non-special rel algebras."""
+def _carrier_two_algebra(index, other):
+    """A carrier-two rel algebra, tensored with a builtin unless other is None."""
     two = rel_object(2)
     mult, unit = _CARRIER_TWO[index]
     alg = FrobeniusAlgebra(
@@ -309,6 +307,15 @@ def test_rel_algebra_projections_are_the_zero_one_scan(index, other, tmp_path, c
     )
     if other is not None:
         alg = tensor_algebras(alg, to_algebra(cli._builtin(other))).algebra
+    return alg
+
+
+@pytest.mark.parametrize("other", [None, "cyclic2", "interval", "klein4"])
+@pytest.mark.parametrize("index", range(len(_CARRIER_TWO)))
+def test_rel_algebra_projections_are_the_zero_one_scan(index, other, tmp_path, capsys):
+    """Next-Closure with the projection filter lists what the definitional
+    scan finds, in lectic order, on special and non-special rel algebras."""
+    alg = _carrier_two_algebra(index, other)
     assert check_axioms(alg).passed
     n = alg.carrier.size
     scanned = zero_one_projections(alg, DEFAULT_TOL, 2**n)
@@ -321,6 +328,43 @@ def test_rel_algebra_projections_are_the_zero_one_scan(index, other, tmp_path, c
     assert load_json(out)["data"]["elements"] == sorted(f"s{m:0{n}b}" for m in lectic)
     for command in (["lattice", str(path), "--order", "mult"], ["tensor", str(path), "cyclic2"]):
         assert run(command, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("other", [None, "cyclic2", "interval", "klein4"])
+@pytest.mark.parametrize("index", range(len(_CARRIER_TWO)))
+def test_copyables_on_unlabeled_rel_algebras(index, other, tmp_path, capsys):
+    """copyables names the points of a carrier without labels by bit string,
+    as projections does, and matches the per-mask reference."""
+    alg = _carrier_two_algebra(index, other)
+    assert alg.carrier.labels is None
+    n = alg.carrier.size
+    found = set(groupoid_oracle.copyable_masks(alg))
+    expected = {0} | groupoid_oracle.component_masks(alg)
+    path = tmp_path / "alg.json"
+    path.write_text(dump_json(algebra_to_doc(alg)))
+    code, out, _ = run(["copyables", str(path), "--format", "structured"], capsys)
+    report = load_json(out)["data"]["report"]
+
+    def names(masks):
+        return sorted(f"s{m:0{n}b}" for m in masks)
+
+    assert report["copyables"] == names(found)
+    assert report["components"] == names(expected - {0})
+    assert report["missing"] == names(expected - found)
+    assert report["extra"] == names(found - expected)
+    assert code == (0 if found == expected else 1)
+
+
+def test_copyables_on_c2_document_without_labels(tmp_path, capsys):
+    doc = algebra_to_doc(to_algebra(cyclic(2)))
+    del doc["carrier"]["labels"]
+    path = tmp_path / "c2.json"
+    path.write_text(dump_json(doc))
+    code, out, err = run(["copyables", str(path), "--format", "structured"], capsys)
+    assert (code, err) == (0, "")
+    report = load_json(out)["data"]["report"]
+    assert report["copyables"] == ["s00", "s11"] and report["components"] == ["s11"]
+    assert run(["projections", str(path)], capsys)[0] == 0
 
 
 def test_rel_algebra_over_the_closed_set_cap(tmp_path, capsys):

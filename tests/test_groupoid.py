@@ -1,7 +1,10 @@
 """Groupoid documents, fixtures, subgroupoid enumeration, copyables."""
 
+import random
+
 import pytest
 
+import groupoid_oracle
 from projlat import (
     CopyablesReport,
     LawViolation,
@@ -30,6 +33,8 @@ from projlat import (
     to_algebra,
     validate,
 )
+from projlat import groupoid
+from projlat.frobenius import mask_points
 
 
 def small_doc():
@@ -309,3 +314,75 @@ def test_copyables_report_round_trip():
 def test_canonical_subset_names_sort():
     assert canonical_subset_name(["b", "a"]) == "{a,b}"
     assert canonical_subset_name([]) == "{}"
+
+
+# -- array scans against the loop references -------------------------------
+
+# every builtin groupoid with at most 16 morphisms, and the products and unions
+# of the acceptance fixtures and the benchmark's copyables documents
+_SMALL = {
+    **{f"cyclic{n}": cyclic(n) for n in range(1, 17)},
+    **{f"dihedral{n}": dihedral(n) for n in range(3, 9)},
+    "klein4": klein4(),
+    "symmetric3": symmetric3(),
+    "quaternion8": quaternion8(),
+    "interval": interval(),
+    "z2xz4": product(cyclic(2), cyclic(4)),
+    "z2x4": product(klein4(), klein4()),
+    "two-intervals": disjoint_union(interval(), interval()),
+    "two-cyclic2": disjoint_union(cyclic(2), cyclic(2)),
+    "cyclic8-plus-cyclic8": disjoint_union(cyclic(8), cyclic(8)),
+    "interval-x-cyclic2": product(interval(), cyclic(2)),
+    "interval-x-interval": product(interval(), interval()),
+    "interval-x-klein4": product(interval(), klein4()),
+}
+
+# carriers above BRUTE_FORCE_LIMIT: one and several objects and components
+_LARGE = {
+    "dihedral12": dihedral(12),
+    "dihedral12-x-cyclic2": product(dihedral(12), cyclic(2)),
+    "interval-x-dihedral6": product(interval(), dihedral(6)),
+    "cyclic32-plus-cyclic32": disjoint_union(cyclic(32), cyclic(32)),
+    "interval-x-cyclic16": product(interval(), cyclic(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL) + sorted(_LARGE))
+def test_copyables_match_per_mask_reference(name):
+    g = _SMALL.get(name) or _LARGE[name]
+    alg = to_algebra(g)
+    masks = groupoid_oracle.copyable_masks(alg)
+    assert [p.name for p in enumerate_copyables(alg)] == [p.name for p in mask_points(alg, masks)]
+    if name == "cyclic32-plus-cyclic32":
+        assert any(m >> 63 for m in masks)  # the R block sits on bits 32..63
+
+
+def _mutations(doc: dict, seed: int, count: int = 3) -> dict:
+    """doc with `count` composites swapped for another morphism of the same
+    dom and cod, so typing and totality still hold."""
+    rng = random.Random(seed)
+    types = {m["name"]: (m["dom"], m["cod"]) for m in doc["morphisms"]}
+    compose = [list(entry) for entry in doc["compose"]]
+    rng.shuffle(compose)
+    for entry in rng.sample(compose, count):
+        entry[2] = rng.choice([m for m, t in types.items() if t == types[entry[2]]])
+    return {**doc, "compose": compose}
+
+
+@pytest.mark.parametrize("block_entries", [None, 1])
+@pytest.mark.parametrize(
+    "name", ["symmetric3", "quaternion8", "dihedral8", "interval-x-klein4", "dihedral12-x-cyclic2",
+             "interval-x-cyclic16"]
+)
+def test_associativity_violations_match_triple_loop(name, block_entries, monkeypatch):
+    if block_entries is not None:
+        monkeypatch.setattr(groupoid, "_BLOCK_ENTRIES", block_entries)
+    base = (_SMALL.get(name) or _LARGE[name]).to_doc()
+    seen = 0
+    for seed in range(4):
+        doc = _mutations(base, seed)
+        want = groupoid_oracle.associativity_violations(doc)
+        got = [v for v in groupoid_violations(doc) if v.law == "associativity"]
+        assert got == want
+        seen += len(want)
+    assert seen > 0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kron_oracle as kron
+import pair_oracle
 from projlat import (
     AXIOM_NAMES,
     FrobeniusAlgebra,
@@ -96,12 +97,11 @@ def _broken():
     }
 
 
-def _perturbed():
+def _perturbed(bases, seed):
     """Seeded complex perturbations of mult and unit, at scales on both sides of 1e-9."""
-    rng = np.random.default_rng(20130219)
+    rng = np.random.default_rng(seed)
     out = {}
-    for base_name, base in (("pants2", pants_algebra(2)), ("basis3", basis_algebra(3)),
-                            ("sum21", direct_sum([2, 1]))):
+    for base_name, base in bases:
         for scale in (1e-13, 1e-6, 1.0):
             noise = lambda shape: scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             mult = base.mult.payload + noise(base.mult.payload.shape)
@@ -110,7 +110,11 @@ def _perturbed():
     return out
 
 
-CASES = {**BUILTINS, "direct-sum-3321": direct_sum([3, 3, 2, 1]), **_broken(), **_perturbed()}
+PERTURBED = _perturbed(
+    (("pants2", pants_algebra(2)), ("basis3", basis_algebra(3)), ("sum21", direct_sum([2, 1]))),
+    20130219,
+)
+CASES = {**BUILTINS, "direct-sum-3321": direct_sum([3, 3, 2, 1]), **_broken(), **PERTURBED}
 
 
 def _assert_same_axioms(alg):
@@ -144,6 +148,40 @@ def test_axioms_match_diagram_reference(name):
 def test_axioms_match_reference_one_row_per_block(name, monkeypatch):
     monkeypatch.setattr(frobenius, "_BLOCK_ENTRIES", 1)
     _assert_same_axioms(CASES[name])
+
+
+# every rel case above, and pants2, pants3 and M3+M3+M2+M1 perturbed at three scales
+TWIN_CASES = {
+    **{name: alg for name, alg in CASES.items() if alg.backend == "rel"},
+    **_perturbed(
+        (("pants2", pants_algebra(2)), ("pants3", pants_algebra(3)),
+         ("sum3321", direct_sum([3, 3, 2, 1]))),
+        20131112,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_CASES))
+def test_dagger_twin_laws_match_their_own_contraction(name):
+    """coassociativity and frobenius_right, reported from their dagger twins,
+    against the einsum of each law's own two composites."""
+    alg = TWIN_CASES[name]
+    m = alg.structure
+    c = m.conj()
+    sides = {
+        "coassociativity": (np.einsum("lpk,pij->lijk", c, c), np.einsum("lip,pjk->lijk", c, c)),
+        "frobenius_right": (np.einsum("lpi,kij->ljpk", m, c), np.einsum("qlj,qpk->ljpk", c, m)),
+    }
+    report = check_axioms(alg)
+    for law, (lhs, rhs) in sides.items():
+        residual, scale = pair_oracle.defect(alg.backend, lhs, rhs)
+        assert report.results[law] == pair_oracle.passes(alg.backend, residual, scale), law
+        if alg.backend == "rel":
+            assert report.residuals[law] == residual, law
+        else:
+            assert abs(report.residuals[law] - residual) <= GAP, law
+    if name.endswith("-1"):
+        assert not report.results["coassociativity"] and not report.results["frobenius_right"]
 
 
 def _points(alg, rng, count=8):
