@@ -73,6 +73,16 @@ GOLDEN = {
         "7048bb9e4108db04cbccca42433e99a4aea5d56bdcc9cdf0d4a8b7e3d80ceb4a",
         "d2f175fb32454dd5ba04e55b8154d4ca2e7152dfe4f2075d65bb5f66ce6fdeea",
     ),
+    "lattice dihedral12 --order inclusion": (
+        0,
+        "62984533413e02dd4906a4e55933716a5a5cc8e91eb40870879fce694f86e2c7",
+        "717499d3f982f2ac1b578147ae0eb0b7adb9275c2418f20dfd3f3aabbac36b8e",
+    ),
+    "lattice dihedral6 --order mult": (
+        0,
+        "fd531e01ae2d6fc2d52538c41b3b10e14ccaab7031883355a504b11d27ae03eb",
+        "da934d5a331b32d2cb44678ae77915ed1bb23a4e253ec2d408563400b65b3456",
+    ),
     "lattice cyclic16 --order inclusion": (
         0,
         "13f2a24decb5ec8223aff8a2bd32adf465da03f1b100f4bfcd18e72ee17f6633",
