@@ -15,9 +15,9 @@ Points I -> A multiply through the algebra; projections are the points that
 are idempotent and self-conjugate. products and projection_mask do both for
 whole stacks of points, with mult_points and is_projection as one-row cases.
 zero_one_projections, the scan of all 2^d points with 0/1 coordinates (the
-cheap conjugacy test first), is the fhilb projection family and the oracle
-of Next-Closure on rel. All predicates take an explicit tolerance and are
-exact on the rel backend.
+cheap conjugacy test first), is the fhilb projection family; on rel it is
+the test oracle of groupoid's bitmask scan. All predicates take an explicit
+tolerance and are exact on the rel backend.
 """
 from __future__ import annotations
 
@@ -299,14 +299,19 @@ def projection_mask(alg: FrobeniusAlgebra, xs: np.ndarray, tol: Tolerance = DEFA
 _SCAN_ROWS = 1 << 12  # 0/1 candidates per block of the projection scan
 
 
+def check_scan_size(d: int, max_candidates: int):
+    """Raise ResourceLimit if a scan of all 2^d 0/1 points exceeds max_candidates."""
+    if 2**d > max_candidates:
+        raise ResourceLimit(f"0/1 scan needs {2**d} candidates, cap is {max_candidates}")
+
+
 def zero_one_projections(alg: FrobeniusAlgebra, tol: Tolerance, max_candidates: int) -> list[int]:
     """Every 0/1 coordinate vector that is a projection, as the bitmask of its
     support, in increasing order; more than max_candidates of the 2^d
     candidates raise ResourceLimit. The self-conjugacy test (n d^2 work for
     n rows) runs first, and projection_mask squares only the rows it keeps."""
     n = alg.carrier.size
-    if 2**n > max_candidates:
-        raise ResourceLimit(f"0/1 scan needs {2**n} candidates, cap is {max_candidates}")
+    check_scan_size(n, max_candidates)
     found = []
     for start in range(0, 2**n, _SCAN_ROWS):
         masks = np.arange(start, min(2**n, start + _SCAN_ROWS))

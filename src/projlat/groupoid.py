@@ -11,11 +11,15 @@ pair (f, g) to f after g on composable pairs, and the unit relates the
 monoidal point to every identity. Projections of that algebra are exactly
 the subgroupoids. enumerate_projections lists the projections of any rel
 algebra, groupoids (through enumerate_subgroupoids) and rel algebra
-documents alike, by Ganter-style Next-Closure over a closure read from the
-cup and the structure tensor; max_closed caps its closed sets. The 0/1
-projection scan cross-checks small carriers and is brute_force_subgroupoids.
-Associativity is checked on an int composition table, and copyables by
-filtering an array of support bitmasks, both with numpy array operations.
+documents alike, by Ganter-style Next-Closure; max_closed caps its closed
+sets. The supports of every basis product e_i e_j and of every conjugate are
+packed once into int bitmasks: the closure reads them through byte tables,
+one lookup per byte of a closed set for each new member, and the 0/1
+projection scan that cross-checks small carriers (and is
+brute_force_subgroupoids) squares all 2^n supports at once by a highest-bit
+recurrence on a uint64 array. Associativity is checked on an int
+composition table, and copyables by filtering an array of support bitmasks,
+both with numpy array operations.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .backend import (
-    DEFAULT_TOL,
     REL,
     rel_morphism,
     rel_object,
@@ -46,9 +49,9 @@ from .frobenius import (
     FrobeniusAlgebra,
     Point,
     canonical_subset_name,
+    check_scan_size,
     mask_points,
     projection_mask,
-    zero_one_projections,
 )
 
 MAX_CARRIER = 64
@@ -509,41 +512,53 @@ class Subgroupoid:
 # -- projection enumeration ------------------------------------------------
 
 
+def _support_masks(alg: FrobeniusAlgebra) -> tuple[list[list[int]], list[int]]:
+    """(both, conj) as Python int bitmasks at any width: both[i][j] is the
+    support of e_i e_j together with e_j e_i (M[:, i, j] | M[:, j, i]), and
+    conj[i] that of the conjugate of e_i (cup[i, :]). A set is closed under
+    products exactly when it holds both[i][j] for every pair of members."""
+    n = alg.carrier.size
+    nbytes = (n + 7) // 8
+
+    def pack(rows: np.ndarray) -> list[int]:  # bit b of row r is rows[r, b]
+        data = np.packbits(rows, axis=-1, bitorder="little").tobytes()
+        return [int.from_bytes(data[r * nbytes : (r + 1) * nbytes], "little") for r in range(len(rows))]
+
+    support = alg.structure > 0
+    both = pack((support | support.transpose(0, 2, 1)).transpose(1, 2, 0).reshape(n * n, n))
+    return [both[i * n : (i + 1) * n] for i in range(n)], pack(alg.cup_matrix > 0)
+
+
 class _Closure:
     """Bit-level closure over carrier indices, read from a rel algebra alone:
-    a closed set holds the conjugates of each member (cup[i, j]) and every
-    product of two members (M[k, i, j])."""
+    a closed set holds the conjugates of each member and every product of two
+    members. table[x][b][v] is the union of x.y and y.x over the members y of
+    byte b whose bits are v, so a new member costs one lookup per byte."""
 
     def __init__(self, alg: FrobeniusAlgebra):
         n = alg.carrier.size
-        self.n = n
-        self.require = [  # the conjugates of each element
-            sum(1 << j for j in np.flatnonzero(row).tolist()) for row in alg.cup_matrix > 0
-        ]
-        self.by_left: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.by_right: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for k, i, j in np.argwhere(alg.structure).tolist():
-            self.by_left[i].append((j, k))
-            self.by_right[j].append((i, k))
+        self.n, self.nbytes = n, (n + 7) // 8
+        pairs, self.require = _support_masks(alg)
+        both = np.zeros((n, self.nbytes * 8), dtype=object)
+        both[:, :n] = np.array(pairs, dtype=object).reshape(n, n)
+        both = both.reshape(n, self.nbytes, 8)
+        table = np.zeros((n, self.nbytes, 256), dtype=object)
+        for t in range(8):  # the values with highest bit t add member t of the byte
+            table[:, :, 1 << t : 2 << t] = table[:, :, : 1 << t] | both[:, :, t, None]
+        self.table = table.tolist()
 
     def close(self, mask: int) -> int:
-        queue = [i for i in range(self.n) if mask >> i & 1]
-        closed = mask
+        closed = queue = mask
         while queue:
-            x = queue.pop()
-            new = self.require[x] & ~closed
-            for j, k in self.by_left[x]:
-                if closed >> j & 1 and not closed >> k & 1:
-                    new |= 1 << k
-            for i, k in self.by_right[x]:
-                if closed >> i & 1 and not closed >> k & 1:
-                    new |= 1 << k
-            while new:
-                low = new & -new
-                b = low.bit_length() - 1
-                closed |= low
-                queue.append(b)
-                new &= new - 1
+            low = queue & -queue
+            queue ^= low
+            x = low.bit_length() - 1
+            new = self.require[x]
+            for row, v in zip(self.table[x], closed.to_bytes(self.nbytes, "little")):
+                new |= row[v]
+            new &= ~closed
+            closed |= new
+            queue |= new
         return closed
 
 
@@ -578,9 +593,24 @@ def _next_closure_masks(ctx: _Closure, max_closed: int) -> Iterator[int]:
 
 
 def _scanned_masks(alg: FrobeniusAlgebra) -> list[int]:
-    """The oracle: the 0/1 projection scan, in lectic order."""
-    masks = zero_one_projections(alg, DEFAULT_TOL, 2**BRUTE_FORCE_LIMIT)
-    return sorted(masks, key=lambda m: _bits(m, alg.carrier.size))
+    """The 0/1 projection scan, in lectic order: every support S with
+    S.S = S and conj(S) = S. Both are built over all 2^n masks at once, a
+    mask S + t with highest bit t from S: sq(S + t) = sq(S) | t.t | the
+    union over a in S of t.a | a.t, and conj(S + t) = conj(S) | conj(t)."""
+    n = alg.carrier.size
+    check_scan_size(n, 2**BRUTE_FORCE_LIMIT)
+    both, conj = _support_masks(alg)
+    sq = np.zeros(1 << n, np.uint64)
+    cj = np.zeros(1 << n, np.uint64)
+    for t in range(n):
+        cross = np.zeros(1 << t, np.uint64)  # cross[S] = the union over a in S of t.a | a.t
+        for a in range(t):
+            cross[1 << a : 2 << a] = cross[: 1 << a] | np.uint64(both[t][a])
+        sq[1 << t : 2 << t] = sq[: 1 << t] | cross | np.uint64(both[t][t])
+        cj[1 << t : 2 << t] = cj[: 1 << t] | np.uint64(conj[t])
+    masks = np.arange(1 << n, dtype=np.uint64)
+    found = np.flatnonzero((sq == masks) & (cj == masks)).tolist()
+    return sorted(found, key=lambda m: _bits(m, n))
 
 
 def enumerate_projections(

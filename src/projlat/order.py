@@ -150,7 +150,7 @@ class ProjectionPoset:
     @functools.cached_property
     def meet(self) -> np.ndarray:
         """meet[i, j]: index of the greatest lower bound of i and j, -1 if none."""
-        return self._bound_table(self.leq.T)
+        return self._bound_table(np.ascontiguousarray(self.leq.T))
 
     @functools.cached_property
     def join(self) -> np.ndarray:

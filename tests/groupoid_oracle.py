@@ -1,13 +1,18 @@
-"""Loop-by-loop references for the groupoid law check and the copyables scan.
+"""Loop-by-loop references for the groupoid law check, the copyables scan
+and the Next-Closure closure.
 
 associativity_violations walks every composable triple (f, g, h) in three
 nested loops over the document's morphisms and compares (f.g).h with
 f.(g.h) by name. copyable_masks tests one support bitmask at a time, product
-by product, with Python integers. So they share neither the int composition
-table of groupoid._law_check nor the uint64 mask arrays of
-groupoid.enumerate_copyables. They are slow and meant for small inputs.
+by product, with Python integers. PairClosure closes a set member by member,
+testing each product pair of the structure tensor. So they share neither the
+int composition table of groupoid._law_check, nor the uint64 mask arrays of
+groupoid.enumerate_copyables, nor the packed support masks and byte tables
+of groupoid._Closure. They are slow and meant for small inputs.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from projlat import Violation, related_pairs
 
@@ -84,3 +89,40 @@ def copyable_masks(alg) -> list[int]:
         candidates = {0, sum(blocks), *blocks}
     found = [m for m in candidates if copyable(m, prods, comp_with)]
     return sorted(found, key=lambda m: [m >> i & 1 for i in range(n)])
+
+
+class PairClosure:
+    """Closure under conjugates (cup[i, j]) and products (M[k, i, j]) by a
+    queue of members: each new member x adds, for each member y, every k of
+    x.y and y.x, read from per-element lists of product pairs."""
+
+    def __init__(self, alg):
+        n = alg.carrier.size
+        self.n = n
+        self.require = [
+            sum(1 << j for j in np.flatnonzero(row).tolist()) for row in alg.cup_matrix > 0
+        ]
+        self.by_left = [[] for _ in range(n)]
+        self.by_right = [[] for _ in range(n)]
+        for k, i, j in np.argwhere(alg.structure).tolist():
+            self.by_left[i].append((j, k))
+            self.by_right[j].append((i, k))
+
+    def close(self, mask: int) -> int:
+        queue = [i for i in range(self.n) if mask >> i & 1]
+        closed = mask
+        while queue:
+            x = queue.pop()
+            new = self.require[x] & ~closed
+            for j, k in self.by_left[x]:
+                if closed >> j & 1 and not closed >> k & 1:
+                    new |= 1 << k
+            for i, k in self.by_right[x]:
+                if closed >> i & 1 and not closed >> k & 1:
+                    new |= 1 << k
+            while new:
+                low = new & -new
+                closed |= low
+                queue.append(low.bit_length() - 1)
+                new &= new - 1
+        return closed

@@ -27,7 +27,7 @@ from projlat import (
     to_algebra,
     unit_object,
 )
-from projlat import cli
+from projlat import cli, groupoid
 from projlat.backend import is_index
 from projlat.cli import main
 from projlat.frobenius import zero_one_projections
@@ -328,6 +328,17 @@ def test_rel_algebra_projections_are_the_zero_one_scan(index, other, tmp_path, c
     assert load_json(out)["data"]["elements"] == sorted(f"s{m:0{n}b}" for m in lectic)
     for command in (["lattice", str(path), "--order", "mult"], ["tensor", str(path), "cyclic2"]):
         assert run(command, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("other", [None, "cyclic2", "interval", "klein4"])
+@pytest.mark.parametrize("index", range(len(_CARRIER_TWO)))
+def test_rel_scan_matches_zero_one_projections(index, other):
+    """The bitmask scan of groupoid's cross-check against the 0/1 scan, on
+    special and non-special rel algebras."""
+    alg = _carrier_two_algebra(index, other)
+    n = alg.carrier.size
+    scanned = zero_one_projections(alg, DEFAULT_TOL, 2**n)
+    assert groupoid._scanned_masks(alg) == sorted(scanned, key=lambda m: [m >> i & 1 for i in range(n)])
 
 
 @pytest.mark.parametrize("other", [None, "cyclic2", "interval", "klein4"])

@@ -33,8 +33,8 @@ from projlat import (
     to_algebra,
     validate,
 )
-from projlat import groupoid
-from projlat.frobenius import mask_points
+from projlat import DEFAULT_TOL, groupoid
+from projlat.frobenius import mask_points, zero_one_projections
 
 
 def small_doc():
@@ -386,3 +386,64 @@ def test_associativity_violations_match_triple_loop(name, block_entries, monkeyp
         assert got == want
         seen += len(want)
     assert seen > 0
+
+
+# -- Next-Closure and the 0/1 scan against the references ------------------
+
+# carrier 65: the closure's masks and tables are wider than one uint64
+_WIDE = {"cyclic13-x-cyclic5": product(cyclic(13), cyclic(5))}
+_ALL = {**_SMALL, **_LARGE, **_WIDE}
+
+
+def _lectic(masks, n):
+    return sorted(masks, key=lambda m: [m >> i & 1 for i in range(n)])
+
+
+@pytest.mark.parametrize("name", sorted(_ALL))
+def test_closure_matches_pair_reference(name):
+    alg = to_algebra(_ALL[name])
+    n = alg.carrier.size
+    rng = random.Random(f"closure-{name}")
+    masks = [0, 1 << n - 1, (1 << n) - 1]
+    if n > 1:
+        masks += [1 << i | 1 << j for i, j in (rng.sample(range(n), 2) for _ in range(8))]
+    masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(16)]
+    fast, slow = groupoid._Closure(alg), groupoid_oracle.PairClosure(alg)
+    assert [fast.close(m) for m in masks] == [slow.close(m) for m in masks]
+    if n >= 64:
+        assert any(m >> 63 & 1 for m in masks)
+
+
+@pytest.mark.parametrize("name", ["dihedral12-x-cyclic2", "cyclic13-x-cyclic5"])
+def test_next_closure_lists_match_pair_reference(name):
+    alg = to_algebra(_ALL[name])
+    cap = groupoid.MAX_CLOSED_SETS
+    fast = list(groupoid._next_closure_masks(groupoid._Closure(alg), cap))
+    assert fast == list(groupoid._next_closure_masks(groupoid_oracle.PairClosure(alg), cap))
+    assert fast[-1] == (1 << alg.carrier.size) - 1
+
+
+def test_subgroupoids_above_64_morphisms():
+    g = _WIDE["cyclic13-x-cyclic5"]  # cyclic of order 65: one subgroup per divisor
+    subs = enumerate_subgroupoids(g, max_carrier=65)
+    assert [len(s.members) for s in subs] == [0, 1, 13, 5, 65]
+    assert subs[-1].members == frozenset(g.morphism_names())
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL))
+def test_scan_matches_zero_one_projections(name):
+    alg = to_algebra(_SMALL[name])
+    n = alg.carrier.size
+    want = _lectic(zero_one_projections(alg, DEFAULT_TOL, 2**n), n)
+    assert groupoid._scanned_masks(alg) == want
+
+
+def test_forced_cross_check_above_limit_raises_the_scan_limit():
+    alg = to_algebra(cyclic(groupoid.BRUTE_FORCE_LIMIT + 1))
+    with pytest.raises(ResourceLimit) as want:
+        zero_one_projections(alg, DEFAULT_TOL, 2**groupoid.BRUTE_FORCE_LIMIT)
+    with pytest.raises(ResourceLimit) as got:
+        groupoid.enumerate_projections(alg, cross_check=True)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ResourceLimit):
+        brute_force_subgroupoids(cyclic(groupoid.BRUTE_FORCE_LIMIT + 1))
