@@ -14,8 +14,9 @@ algebra, groupoids (through enumerate_subgroupoids) and rel algebra
 documents alike, by Ganter-style Next-Closure; max_closed caps its closed
 sets. The supports of every basis product e_i e_j and of every conjugate are
 packed once into int bitmasks: the closure reads them through byte tables,
-one lookup per byte of a closed set for each new member, and the 0/1
-projection scan that cross-checks small carriers (and is
+one lookup per byte of a closed set for each new member, the same tables
+decide exactly which closed sets are projections, and the 0/1 projection
+scan that cross-checks small carriers (and is
 brute_force_subgroupoids) squares all 2^n supports at once by a highest-bit
 recurrence on a uint64 array. Associativity is checked on an int
 composition table, and copyables by filtering an array of support bitmasks,
@@ -51,7 +52,6 @@ from .frobenius import (
     canonical_subset_name,
     check_scan_size,
     mask_points,
-    projection_mask,
 )
 
 MAX_CARRIER = 64
@@ -561,6 +561,21 @@ class _Closure:
             queue |= new
         return closed
 
+    def is_projection(self, mask: int) -> bool:
+        """Exactly S.S = S and conj(S) = S, read from the same tables: the
+        union of x.y over members x and y of S, and of their conjugates."""
+        square = conj = 0
+        data = mask.to_bytes(self.nbytes, "little")
+        queue = mask
+        while queue:
+            low = queue & -queue
+            queue ^= low
+            x = low.bit_length() - 1
+            conj |= self.require[x]
+            for row, v in zip(self.table[x], data):
+                square |= row[v]
+        return square == mask == conj
+
 
 def _bits(mask: int, n: int) -> list[int]:
     """The 0/1 coordinates of a support bitmask; as a sort key, lectic order."""
@@ -623,8 +638,9 @@ def enumerate_projections(
     """The projections of a rel algebra as support bitmasks, in lectic order.
 
     Every projection is closed under conjugates and products, so Next-Closure
-    lists the closed sets and projection_mask keeps the projections (on a
-    groupoid algebra, all of them: the subgroupoids). When the carrier is
+    lists the closed sets and _Closure.is_projection keeps, exactly, the
+    projections among them (on a groupoid algebra, all of them: the
+    subgroupoids). When the carrier is
     small (or cross_check is forced on) the 0/1 projection scan must give
     the identical list, or a LawViolation is raised.
     """
@@ -633,9 +649,8 @@ def enumerate_projections(
     n = alg.carrier.size
     if n > max_carrier:
         raise ResourceLimit(f"carrier {n} exceeds cap {max_carrier}")
-    closed = list(_next_closure_masks(_Closure(alg), max_closed))
-    rows = np.array([_bits(m, n) for m in closed], alg.structure.dtype).reshape(len(closed), n)
-    masks = [m for m, ok in zip(closed, projection_mask(alg, rows).tolist()) if ok]
+    ctx = _Closure(alg)
+    masks = [m for m in _next_closure_masks(ctx, max_closed) if ctx.is_projection(m)]
     if cross_check or cross_check is None and n <= BRUTE_FORCE_LIMIT:
         oracle = _scanned_masks(alg)
         if oracle != masks:

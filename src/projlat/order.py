@@ -228,7 +228,13 @@ def build_poset(
 def inclusion_poset(
     alg: FrobeniusAlgebra, subgroupoids: Sequence[Subgroupoid], tol: Tolerance = DEFAULT_TOL
 ) -> ProjectionPoset:
-    """Subset-inclusion order on subgroupoid points; orthogonality is disjointness."""
+    """Subset-inclusion order on subgroupoid points; orthogonality is disjointness.
+
+    Both come from one product of the 0/1 support rows: with
+    common[i, j] = |S_i & S_j|, S_i <= S_j iff common[i, j] = |S_i|, and
+    S_i, S_j are disjoint iff common[i, j] = 0 (counts of at most the
+    carrier size are exact in float32).
+    """
     subs = list(subgroupoids)
     if all(s.members for s in subs):
         subs.append(Subgroupoid(frozenset()))
@@ -238,13 +244,9 @@ def inclusion_poset(
     points = [subset_point(alg, m) for m in members]
     names = [s.name for s in subs]
     zero_index = members.index(frozenset())
-    n = len(subs)
-    leq = np.zeros((n, n), dtype=bool)
-    orth = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            leq[i, j] = members[i] <= members[j]
-            orth[i, j] = not (members[i] & members[j])
+    rows = np.array([p.morphism.payload[:, 0] for p in points], np.float32)
+    common = rows @ rows.T
+    leq, orth = common == common.diagonal()[:, None], common == 0
     return ProjectionPoset.from_relations(points, names, leq, orth, zero_index)
 
 

@@ -2,12 +2,14 @@
 
 build_poset, commute_glb_equivalence and bi_order_check decide the
 projection order, orthogonality, distinctness, the zero, the commute/glb
-flags and the tensor interchange from products of points. These functions
-do the same work one pair at a time, in the loops the definitions read as:
-every product is mult after (p (x) q) through the backend (kron_oracle), and
-every comparison is the scalar rule below. So they share neither the
-package's contraction (frobenius.products) nor its row comparison
-(backend.row_defects). They are slow and meant for small families.
+flags and the tensor interchange from products of points, and
+inclusion_poset the subset order and disjointness of subgroupoids. These
+functions do the same work one pair at a time, in the loops the definitions
+read as: every product is mult after (p (x) q) through the backend
+(kron_oracle), and every comparison is the scalar rule below. So they share
+neither the package's contraction (frobenius.products) nor its row
+comparison (backend.row_defects). They are slow and meant for small
+families.
 """
 from __future__ import annotations
 
@@ -23,9 +25,11 @@ from projlat import (
     PairCheck,
     Point,
     ProjectionPoset,
+    Subgroupoid,
     Tolerance,
     Violation,
     derived_zero_point,
+    subset_point,
     tensor_points,
     zero_point,
 )
@@ -97,6 +101,27 @@ def build_poset(alg: FrobeniusAlgebra, family, tol: Tolerance = DEFAULT_TOL) -> 
             prod = mult_points(points[i], points[j])
             leq[i, j] = points_equal(prod, points[i], tol)
             orth[i, j] = points_equal(prod, zero, tol)
+    return ProjectionPoset.from_relations(points, names, leq, orth, zero_index)
+
+
+def inclusion_poset(alg: FrobeniusAlgebra, subgroupoids) -> ProjectionPoset:
+    """Subset inclusion and disjointness, one frozenset pair at a time."""
+    subs = list(subgroupoids)
+    if all(s.members for s in subs):
+        subs.append(Subgroupoid(frozenset()))
+    members = [s.members for s in subs]
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate subgroupoids in family")
+    points = [subset_point(alg, m) for m in members]
+    names = [s.name for s in subs]
+    zero_index = members.index(frozenset())
+    n = len(subs)
+    leq = np.zeros((n, n), dtype=bool)
+    orth = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            leq[i, j] = members[i] <= members[j]
+            orth[i, j] = not (members[i] & members[j])
     return ProjectionPoset.from_relations(points, names, leq, orth, zero_index)
 
 

@@ -264,6 +264,38 @@ def test_algebra_document_failing_its_axioms_is_exit_1(command, tmp_path, capsys
     assert "unitality_left" in out + err
 
 
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("slot", ["left", "right"])
+def test_tensor_checks_each_component_once(slot, broken, tmp_path, capsys, monkeypatch):
+    """tensor law-checks an algebra document once, in either slot; a failing
+    one exits 1 naming its slot and its failing axioms."""
+    from projlat import tensoralg
+
+    doc = algebra_to_doc(to_algebra(cyclic(3)))
+    if broken:
+        doc["unit"]["payload"] = []
+    path = tmp_path / "c3.json"
+    path.write_text(dump_json(doc))
+    checked = []
+
+    def counting(alg, tol=DEFAULT_TOL):
+        checked.append(alg.carrier.size)
+        return check_axioms(alg, tol)
+
+    monkeypatch.setattr(cli, "check_axioms", counting)
+    monkeypatch.setattr(tensoralg, "check_axioms", counting)
+    args = [str(path), "cyclic2"] if slot == "left" else ["cyclic2", str(path)]
+    code, out, err = run(["tensor", *args], capsys)
+    if broken:
+        assert code == 1
+        assert f"{slot} component fails axioms" in out + err
+        assert "unitality_left" in out + err
+        assert checked == ([3] if slot == "left" else [2, 3])
+    else:
+        assert code == 0
+        assert checked == ([3, 2, 6] if slot == "left" else [2, 3, 6])
+
+
 @pytest.mark.parametrize(
     "command",
     [["projections"], ["lattice", "--order", "mult"], ["tensor", "cyclic2"]],

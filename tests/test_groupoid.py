@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import groupoid_oracle
@@ -33,8 +34,8 @@ from projlat import (
     to_algebra,
     validate,
 )
-from projlat import DEFAULT_TOL, groupoid
-from projlat.frobenius import mask_points, zero_one_projections
+from projlat import DEFAULT_TOL, FrobeniusAlgebra, Morphism, groupoid
+from projlat.frobenius import mask_points, projection_mask, zero_one_projections
 
 
 def small_doc():
@@ -447,3 +448,45 @@ def test_forced_cross_check_above_limit_raises_the_scan_limit():
     assert str(got.value) == str(want.value)
     with pytest.raises(ResourceLimit):
         brute_force_subgroupoids(cyclic(groupoid.BRUTE_FORCE_LIMIT + 1))
+
+
+def _perturbed_algebras(seed: int) -> list:
+    """Groupoid algebras with a few mult pairs flipped, and sparse random rel
+    algebras: their closed sets are often not projections."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for g in (cyclic(6), dihedral(4), product(interval(), cyclic(2))):
+        alg = to_algebra(g)
+        mult = alg.mult.payload.copy()
+        flips = rng.integers(0, mult.size, size=int(rng.integers(1, 4)))
+        mult.flat[flips] = ~mult.flat[flips]
+        out.append(FrobeniusAlgebra(alg.carrier, Morphism(alg.mult.dom, alg.carrier, mult), alg.unit))
+    for d in (3, 6, 8):
+        alg = to_algebra(cyclic(d))
+        mult = rng.random(alg.mult.payload.shape) < rng.uniform(0.02, 0.2)
+        unit = rng.random((d, 1)) < 0.5
+        out.append(FrobeniusAlgebra(
+            alg.carrier, Morphism(alg.mult.dom, alg.carrier, mult),
+            Morphism(alg.unit.dom, alg.carrier, unit),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_projection_test_matches_float_products(seed):
+    """_Closure.is_projection, read from the byte tables, against the float32
+    projection_mask on every mask, and the filtered Next-Closure list
+    against the 0/1 scan."""
+    verdicts = set()
+    for alg in _perturbed_algebras(seed):
+        n = alg.carrier.size
+        ctx = groupoid._Closure(alg)
+        rows = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.float32)
+        want = projection_mask(alg, rows).tolist()
+        assert [ctx.is_projection(m) for m in range(1 << n)] == want
+        closed = list(groupoid._next_closure_masks(ctx, groupoid.MAX_CLOSED_SETS))
+        verdicts.update(ctx.is_projection(m) for m in closed)
+        assert groupoid.enumerate_projections(alg, cross_check=True) == [
+            m for m in closed if want[m]
+        ]
+    assert verdicts == {True, False}  # some closed sets are not projections

@@ -24,6 +24,7 @@ from projlat import (
     commute_glb_equivalence,
     cyclic,
     enumerate_subgroupoids,
+    inclusion_poset,
     interval,
     klein4,
     pants_algebra,
@@ -36,6 +37,7 @@ from projlat import (
 from projlat.backend import Defect, row_defects, rows_equal
 from projlat import frobenius
 from projlat.frobenius import products, projection_mask
+from test_groupoid import _ALL as GROUPOIDS
 from test_order import oracle_posets
 
 TOL = Tolerance(1e-9)
@@ -62,6 +64,19 @@ def _non_projection(alg):
         if not oracle.is_projection(p, TOL):
             return p
     return None
+
+
+# -- inclusion_poset --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_inclusion_poset_matches_pair_loop(name):
+    g = GROUPOIDS[name]
+    alg = to_algebra(g)
+    subs = enumerate_subgroupoids(g, max_carrier=alg.carrier.size)
+    for family in (subs, subs[::-1], subs[1:], subs[:0:-1], subs + subs[-1:]):
+        got = _outcome(inclusion_poset, alg, family, TOL)
+        assert got == _outcome(oracle.inclusion_poset, alg, family)
 
 
 # -- build_poset ------------------------------------------------------------
