@@ -38,6 +38,11 @@ GOLDEN = {
         "f3e88205b05d29b2626e450aaaaaaa81024d1f39e1d5ac2aceefc9f204978338",
         "cb1cf2fe8529fd7ea529aecf8c3cc082d7a04a10be1d21b18eae3f939ced3ffe",
     ),
+    "validate pants6": (
+        0,
+        "80b993ef40a0064aa44ab7e03fc793604ffd60095b7531add3b64eb8d77384a2",
+        "39e5d849766dc086af82eca7a10ce392a5b60f25826fb87fc92cd50877f482b5",
+    ),
     "validate dihedral12": (
         0,
         "39356f527052be629deae53498012e635fb5049a1ace1b8eefc4033c8f9beda5",
@@ -137,6 +142,11 @@ GOLDEN = {
         0,
         "33d19c9f4e2437d018c286a93adf292bd37dd67810b12c1e37957981485f6238",
         "048cc2def035754fc638f9dec41c8a78c76975ca4bc0a0e6e201d312b77dc923",
+    ),
+    "tensor pants2 pants3": (
+        0,
+        "4880e337c63ac3cbd915050f7a7ec82e52323a8a0479055ddb846810f1c9911f",
+        "65a336664abffaedf5d1961d26b7aa5bc8f78e45dd0fe3a309e57f71a7b6834c",
     ),
     "counterexamples all": (
         0,
