@@ -26,6 +26,7 @@ from .errors import BackendMismatch, CompositionTypeError
 FHILB = "fhilb"
 REL = "rel"
 PAYLOAD_DTYPE = {FHILB: np.dtype(np.complex128), REL: np.dtype(np.bool_)}
+_ABS_COPY_ENTRIES = 1 << 13  # past this, a real max and min cost less than an |x| copy
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,10 @@ def related_pairs(f: Morphism) -> list[tuple[int, int]]:
 
 
 def numeric(payload: np.ndarray) -> np.ndarray:
-    """A payload as numbers to contract: complex stays as it is, and a rel
-    bool matrix becomes a float32 0/1 array, so that BLAS runs on it too."""
+    """A payload as numbers for BLAS to contract: complex with an all-zero imaginary part
+    as its float64 real part, other complex as it is, rel bool as a float32 0/1 array."""
+    if payload.dtype.kind == "c" and not np.count_nonzero(payload.imag):
+        return np.ascontiguousarray(payload.real)
     return payload.astype(np.result_type(payload, np.float32), copy=False)
 
 
@@ -216,6 +219,13 @@ def zero_morphism(dom: ObjectRef, cod: ObjectRef) -> Morphism:
     return Morphism(dom, cod, np.zeros((cod.size, dom.size), dtype=PAYLOAD_DTYPE[dom.backend]))
 
 
+def _real_max_abs(x: np.ndarray, axis, floor: float):
+    """max(floor, max |x|) along axis for real x, from its max and min when x is large."""
+    if x.size <= _ABS_COPY_ENTRIES:
+        return np.abs(x).max(axis, initial=floor)
+    return np.maximum(x.max(axis, initial=floor), -x.min(axis, initial=-floor))
+
+
 def row_defects(backend: str, lhs: np.ndarray, rhs: np.ndarray, axis=-1):
     """The residual and scale of Defect's rule along one axis of two
     broadcastable arrays (all axes if axis is None), one pair per row.
@@ -227,6 +237,9 @@ def row_defects(backend: str, lhs: np.ndarray, rhs: np.ndarray, axis=-1):
     if backend == REL:
         differ = lhs.astype(bool, copy=False) != rhs.astype(bool, copy=False)
         return np.count_nonzero(differ, axis=axis), 1.0
+    if lhs.dtype.kind != "c" and rhs.dtype.kind != "c":
+        gap = _real_max_abs(lhs - rhs, axis, 0.0)
+        return gap, np.maximum(_real_max_abs(lhs, axis, 1.0), _real_max_abs(rhs, axis, 1.0))
     gap = np.abs(lhs - rhs).max(axis=axis, initial=0.0)
     scale = np.maximum(
         np.abs(lhs).max(axis=axis, initial=1.0), np.abs(rhs).max(axis=axis, initial=1.0)

@@ -102,7 +102,7 @@ class FrobeniusAlgebra:
 
     @cached_property
     def structure(self) -> np.ndarray:
-        """M[k, i, j] (d x d x d): complex128 on fhilb, a float32 0/1 array on rel."""
+        """M[k, i, j]: float64 when real, else complex128, on fhilb; a float32 0/1 array on rel."""
         d = self.carrier.size
         return numeric(self.mult.payload).reshape(d, d, d)
 
@@ -149,7 +149,7 @@ class Point:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        """The point's coordinates: complex on fhilb, a float32 0/1 indicator on rel."""
+        """Coordinates: float64 when real, else complex128, on fhilb; a 0/1 float32 array on rel."""
         return numeric(self.morphism.payload)[:, 0]
 
 
@@ -351,8 +351,9 @@ def check_axioms(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> AxiomRe
 
 
 def point_vectors(alg: FrobeniusAlgebra, points) -> np.ndarray:
-    """The coordinates of points as the rows of one (len, d) array."""
-    rows = np.array([p.vector for p in points], dtype=alg.structure.dtype)
+    """The points' coordinates as the rows of one (len, d) array, complex if any of M or them is."""
+    dtype = np.result_type(alg.structure, *{p.vector.dtype for p in points})
+    rows = np.array([p.vector for p in points], dtype=dtype)
     return rows.reshape(len(points), alg.carrier.size)
 
 

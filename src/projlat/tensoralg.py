@@ -87,8 +87,9 @@ def tensor_algebras(
     carrier = tensor_objects(a.carrier, b.carrier)
     pair = tensor_objects(carrier, carrier)
     n = carrier.size
-    table = np.einsum("kip,ljq->klijpq", a.structure, b.structure).reshape(n, n * n)
-    mult = Morphism(pair, carrier, table)
+    mult = Morphism(
+        pair, carrier, np.einsum("kip,ljq->klijpq", a.structure, b.structure).reshape(n, n * n)
+    )
     raw_unit = tensor(a.unit, b.unit)
     unit = Morphism(unit_object(a.backend), carrier, raw_unit.payload)
     composed = FrobeniusAlgebra(carrier, mult, unit)
