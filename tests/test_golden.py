@@ -148,6 +148,16 @@ GOLDEN = {
         "4880e337c63ac3cbd915050f7a7ec82e52323a8a0479055ddb846810f1c9911f",
         "65a336664abffaedf5d1961d26b7aa5bc8f78e45dd0fe3a309e57f71a7b6834c",
     ),
+    "tensor pants4 pants3": (
+        0,
+        "93634f39fb35c4bcbad38a3146c6d8c164d2ed567f5023cf38167031c9cfd1a6",
+        "aaf1c46716f526a8f207f889b52a9e39c65ccbe3f3b1de8918757bd0e1e05b46",
+    ),
+    "tensor cyclic16 cyclic12": (
+        0,
+        "3f7dcda208f625717128b091e21e2a05af2bc5fa0c165c5d4b19c3e0c299b518",
+        "345b7ac145c76864c2874131ab3a960834c979826f99b33820f24255af97e926",
+    ),
     "counterexamples all": (
         0,
         "7b1d313e2db0d4cd97fc5ad044e0a2a347be4ff30f995a31283e22596bf642d6",
