@@ -9,10 +9,15 @@ algebra self-dual, which is what the conjugation and yanking checks exercise.
 Laws and products contract the structure tensor M[k, i, j] (the coefficient
 of e_k in e_i e_j) and the unit vector u. On rel both are 0/1 arrays and a
 contraction counts paths, so reading it with > 0 is relational composition.
-There the two d^4 laws, associativity and frobenius_left, are set questions
-and are decided exactly on packed supports of M instead: each side is an OR
-of gathered uint64 rows, and the residual is the popcount of their XOR.
-check_axioms takes coassociativity and frobenius_right from their dagger twins.
+The two d^4 laws, associativity and frobenius_left, take one of three paths.
+When M is a table (real, with at most one nonzero per column M[:, i, j]
+and per row M[k, i, :], as in matrix-unit and groupoid algebras), each entry
+of a side is one product of two entries of M, gathered from product tables
+at d^3 cost. Any other rel algebra is decided exactly on packed supports of
+M: each side is an OR of gathered uint64 rows, and the residual is the
+popcount of their XOR. Complex and other real fhilb algebras are contracted.
+check_axioms takes coassociativity, both counitality laws and
+frobenius_right from their dagger twins.
 
 Points I -> A multiply through the algebra; projections are the points that
 are idempotent and self-conjugate. products and projection_mask do both for
@@ -195,7 +200,12 @@ class AxiomReport(Report):
         return [name for name in AXIOM_NAMES if not self.results[name]]
 
 
-_DAGGER_TWINS = {"coassociativity": "associativity", "frobenius_right": "frobenius_left"}
+_DAGGER_TWINS = {
+    "coassociativity": "associativity",
+    "counitality_left": "unitality_left",
+    "counitality_right": "unitality_right",
+    "frobenius_right": "frobenius_left",
+}
 _BLOCK_ENTRIES = 1 << 18  # output entries (or words) per block; bounds a law's temporaries
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], np.uint8)
 
@@ -282,6 +292,80 @@ def _packed_laws(alg: FrobeniusAlgebra) -> dict:
     return {name: Defect(REL, float(count)) for name, count in counts.items()}
 
 
+def _product_tables(alg: FrobeniusAlgebra):
+    """((t, c), (r, w)) when M is a table, else None.
+
+    M is a table when it is real with at most one nonzero per column
+    M[:, i, j] and per row M[k, i, :]: then e_i e_j = c[i, j] e_t[i, j] and
+    e_i e_r[i, k] = w[i, k] e_k. All four are (d + 1, d + 1) arrays, and a
+    product or quotient that does not exist reads index d, coefficient 0,
+    as does every entry of row and column d, so gathers through them stay
+    inside. The index tables are the smallest unsigned type that holds d.
+    """
+    m, d = alg.structure, alg.carrier.size
+    support = alg.mult.payload if alg.backend == REL else m  # rel: bool, a quarter of M's bytes
+    if m.dtype.kind == "c" or np.count_nonzero(support) > d * d:
+        return None
+    flat = np.flatnonzero(support)  # k * d^2 + i * d + j
+    k, ij = np.divmod(flat, d * d)
+    i, j = np.divmod(ij, d)
+    for a, b in ((i, j), (i, k)):
+        seen = np.zeros((d, d), bool)
+        seen[a, b] = True
+        if np.count_nonzero(seen) < len(flat):
+            return None
+    values, tables = m.reshape(-1)[flat], []
+    for a, b in ((j, k), (k, j)):  # t[i, j] = k, then r[i, k] = j
+        index = np.full((d + 1, d + 1), d, np.min_scalar_type(d))
+        coef = np.zeros((d + 1, d + 1), m.dtype)
+        index[i, a] = b
+        coef[i, a] = values
+        tables.append((index, coef))
+    return tables
+
+
+def _table_laws(alg: FrobeniusAlgebra, tables) -> dict:
+    """associativity and frobenius_left of a table algebra, each as the
+    Defect the contraction gives, from d^3 gathered products.
+
+    On a table, every entry of a side is a sum of d products of which at
+    most one is not an exact zero, so it equals that one product in any
+    summation order. With (f, g) = (t, c) for associativity and (r, w) for
+    frobenius_left, the two sides at (i, x, k) are
+      lhs = g[i, x] c[f[i, x], k] at l1 = t[f[i, x], k],
+      rhs = c[x, k] g[i, t[x, k]] at l2 = f[i, t[x, k]]
+    (x = j and (e_i e_j) e_k against e_i (e_j e_k); x = p and
+    sum_j M[l, j, k] M[p, i, j] against sum_q M[q, i, l] M[q, p, k]), and
+    zero at every other l. Comparing lhs with rhs where l1 = l2 and each
+    with zero where not is the rule applied to the whole sides. The left
+    side gathers rows of (t, c) by f, the right one columns of (f, g) by t,
+    in blocks of i.
+    """
+    (t, c), _ = tables
+    d = alg.carrier.size
+    inner = t[:d, :d].astype(np.intp)  # [x, k] -> t[x, k]
+    t_rows, c_rows = np.ascontiguousarray(t[:, :d]), np.ascontiguousarray(c[:, :d])
+    rows = max(1, _BLOCK_ENTRIES // max(1, d * d))
+    zero = np.zeros((), c.dtype)
+    defects = {}
+    for name, (f, g) in zip(("associativity", "frobenius_left"), tables):
+        defect = defects[name] = Defect(alg.backend)
+        for start in range(0, d, rows):
+            stop = min(d, start + rows)
+            middle = f[start:stop, :d]
+            l1 = np.take(t_rows, middle, axis=0)
+            lhs = np.take(c_rows, middle, axis=0)
+            lhs *= g[start:stop, :d, None]
+            l2 = np.take(f[start:stop], inner, axis=1)
+            rhs = np.take(g[start:stop], inner, axis=1)
+            rhs *= c[:d, :d]
+            met = np.where(l1 == l2, rhs, zero)  # rhs where both sides land on one entry
+            defect.add(lhs, met)
+            rhs -= met
+            defect.add(zero, rhs)
+    return defects
+
+
 def _blocks(spec: str, *ops: np.ndarray):
     """einsum(spec, *ops) in blocks of rows of its first output index, each
     near _BLOCK_ENTRIES entries; every output index has the carrier's size."""
@@ -307,14 +391,26 @@ def check_axioms(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> AxiomRe
     dagger of mult) and needs no separate check.
 
     Each side of a law contracts M (mult), conj(M) (comult), u (unit) and
-    conj(u) (counit) to the entries of its composite. On rel, associativity
-    and frobenius_left are not contracted: _packed_laws ORs packed product
-    supports into the relation of each side and counts the differing
-    entries by popcount, the same residual a contraction read with > 0
-    gives, at a fraction of the d^5 cost. coassociativity and
-    frobenius_right take the verdict and residual of their dagger twins:
-    each side of coassociativity is the conjugate of that of associativity
-    (conj(M) for M), and each side FR of frobenius_right has
+    conj(u) (counit) to the entries of its composite, and its residual is
+    Defect's rule on the two sides. The unitality sides are u @ M and M @ u.
+    associativity and frobenius_left, the d^4 laws, reach the same residual
+    by one of three paths:
+    - table (_product_tables is not None: every builtin, direct sum and
+      groupoid algebra, and their tensors): _table_laws gathers each entry
+      of each side as one product of two entries of M. The contraction
+      returns that product exactly, because every other term it sums is an
+      exact zero and adding zeros is exact in any order, so the floats (and
+      the rel counts) are the same, at d^3 instead of d^5 cost;
+    - packed (any other rel algebra): _packed_laws ORs packed product
+      supports into the relation of each side and counts the differing
+      entries by popcount, the residual a contraction read with > 0 gives;
+    - contraction (complex and other real fhilb algebras), in blocks.
+    coassociativity, counitality and frobenius_right take the verdict and
+    residual of their dagger twins: each side of coassociativity is the
+    conjugate of that of associativity (conj(M) for M), each counitality
+    side is the conjugate transpose of the unitality side of its hand
+    (conj(u) @ conj(M) for u @ M) against the identity, which is real and
+    symmetric, and each side FR of frobenius_right has
     FR[l, j, p, k] = conj(FL[k, p, l, j]) for that side FL of frobenius_left
     (on the left, both are sum_i M[l, p, i] conj(M[k, i, j])). Defect's rule
     (a count of differing entries on rel; the maxima of |lhs - rhs|, |lhs|
@@ -322,22 +418,24 @@ def check_axioms(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> AxiomRe
     permuted alike.
     """
     m, u = alg.structure, unit_point(alg).vector
-    c, e = m.conj(), u.conj()
+    c = m.conj()  # M itself when M is real
     one = np.eye(alg.carrier.size, dtype=m.dtype)
-    cap = np.tensordot(e, m, 1)  # counit after mult, [i, j]
+    cap = np.tensordot(u.conj(), m, 1)  # counit after mult, [i, j]
     cup = alg.cup_matrix  # comult after unit, [i, j]
     laws = {
         "associativity": (("lpk,pij->lijk", m, m), ("lip,pjk->lijk", m, m)),
-        "unitality_left": (("kij,i->kj", m, u), ("kj->kj", one)),
-        "unitality_right": (("kij,j->ki", m, u), ("ki->ki", one)),
-        "counitality_left": (("i,kij->jk", e, c), ("jk->jk", one)),
-        "counitality_right": (("j,kij->ik", e, c), ("ik->ik", one)),
         "frobenius_left": (("ljk,pij->lipk", m, c), ("qil,qpk->lipk", c, m)),
         "symmetry": (("ji->ij", cap), ("ij->ij", cap)),
         "yanking_left": (("ai,ij->ja", cap, cup), ("ja->ja", one)),
         "yanking_right": (("ij,ja->ia", cup, cap), ("ia->ia", one)),
     }
-    defects = _packed_laws(alg) if alg.backend == REL else {}
+    tables = _product_tables(alg)
+    if tables is not None:
+        defects = _table_laws(alg, tables)
+    else:
+        defects = _packed_laws(alg) if alg.backend == REL else {}
+    defects["unitality_left"] = Defect(alg.backend).add(u @ m, one)  # [k, j]
+    defects["unitality_right"] = Defect(alg.backend).add(m @ u, one)  # [k, i]
     for name, (lhs, rhs) in laws.items():
         if name not in defects:
             defects[name] = Defect(alg.backend)

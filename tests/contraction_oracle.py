@@ -5,14 +5,16 @@ Every law side is an einsum of the float32 0/1 structure tensor M[k, i, j]
 and the unit vector, as the string diagram reads, and a rel side is the
 relation of its nonzero entries: a residual counts the entries where the
 two sides differ, one value of the first output index at a time. The
-package decides associativity and frobenius_left on packed supports
-instead; this evaluates all eleven laws the slow way, at d^5 cost.
+package decides associativity and frobenius_left from product tables or on
+packed supports instead; this evaluates all eleven laws the slow way, at
+d^5 cost. law_path says which of its paths check_axioms takes.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from projlat import AXIOM_NAMES, REL, AxiomReport, FrobeniusAlgebra
+from projlat import frobenius
 
 
 def _rows(spec: str, *ops: np.ndarray):
@@ -64,3 +66,27 @@ def check_axioms(alg: FrobeniusAlgebra) -> AxiomReport:
         results={name: residuals[name] == 0 for name in AXIOM_NAMES},
         residuals=residuals,
     )
+
+
+def law_path(alg: FrobeniusAlgebra) -> str:
+    """The path on which check_axioms decides associativity and
+    frobenius_left: "table", "packed" or, when it calls neither,
+    "contraction"."""
+    taken = []
+    originals = {"table": frobenius._table_laws, "packed": frobenius._packed_laws}
+
+    def spy(path):
+        def laws(*args):
+            taken.append(path)
+            return originals[path](*args)
+        return laws
+
+    try:
+        for path in originals:
+            setattr(frobenius, f"_{path}_laws", spy(path))
+        frobenius.check_axioms(alg)
+    finally:
+        for path, original in originals.items():
+            setattr(frobenius, f"_{path}_laws", original)
+    assert len(taken) <= 1, taken
+    return taken[0] if taken else "contraction"

@@ -2,10 +2,14 @@
 
 numeric hands every fhilb payload whose imaginary part is all zero to the
 contractions as float64, and row_defects compares real operands without
-|x| arrays. Here the real path must give the same AxiomReport as the same
-algebra contracted in complex128, stay within 1e-12 of the Kronecker
-reference on real perturbations, and keep complex data complex: a rotated
-algebra with imaginary entries, and complex points on a real algebra.
+|x| arrays. A real table algebra (every builtin, and seeded random tables
+with non-integer, negative and 2^-30-scale coefficients) decides
+associativity and frobenius_left from product tables. Here the real path
+must give the same AxiomReport, bit for bit, as the same algebra contracted
+in complex128, stay within 1e-12 of the Kronecker reference on real
+perturbations (which are contracted), and keep complex data complex: a
+rotated algebra with imaginary entries, and complex points on a real
+algebra. Each case asserts its path.
 """
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 
 import kron_oracle as kron
 import pair_oracle
+from contraction_oracle import law_path
 from projlat import (
     AXIOM_NAMES,
     FrobeniusAlgebra,
@@ -29,6 +34,7 @@ from projlat import (
 from projlat import frobenius
 from projlat.backend import _ABS_COPY_ENTRIES, FHILB, numeric, row_defects, rows_equal
 from projlat.frobenius import mask_points, point_vectors, products, projection_mask
+from test_packed_laws import random_table
 
 GAP = 1e-12
 
@@ -51,16 +57,44 @@ def _assert_same_report(got, want):
         assert type(got.residuals[name]) is type(want.residuals[name]), name
 
 
+def _assert_complex_report(alg, monkeypatch):
+    """The real table path against the complex contraction of the same data."""
+    assert alg.structure.dtype == np.float64 and alg.structure.flags.c_contiguous
+    assert law_path(alg) == "table"
+    real = check_axioms(alg)
+    with monkeypatch.context() as patch:
+        patch.setattr(frobenius, "numeric", _complex_numeric)
+        forced = FrobeniusAlgebra(alg.carrier, alg.mult, alg.unit)
+        assert forced.structure.dtype == np.complex128
+        assert law_path(forced) == "contraction"
+        _assert_same_report(real, check_axioms(forced))
+    return real
+
+
 @pytest.mark.parametrize("name", sorted(REAL_ALGEBRAS))
 def test_real_structure_gives_the_complex_report(name, monkeypatch):
     build, arg = REAL_ALGEBRAS[name]
-    alg = build(arg)
-    assert alg.structure.dtype == np.float64 and alg.structure.flags.c_contiguous
-    real = check_axioms(alg)
-    monkeypatch.setattr(frobenius, "numeric", _complex_numeric)
-    forced = FrobeniusAlgebra(alg.carrier, alg.mult, alg.unit)
-    assert forced.structure.dtype == np.complex128
-    _assert_same_report(real, check_axioms(forced))
+    _assert_complex_report(build(arg), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_real_tables_give_the_complex_report(seed, monkeypatch):
+    kinds = {d: (16 * seed + d) % 4 for d in range(1, 10)}
+    algs = {d: random_table(d, 16 * seed + d, FHILB) for d in kinds}
+    reports = {d: _assert_complex_report(alg, monkeypatch) for d, alg in algs.items()}
+    assert all(rep.passed for d, rep in reports.items() if kinds[d] == 1)  # signed Z_d
+    for d, rep in reports.items():
+        if kinds[d] == 3 and d > 2:  # Z_d with coefficients of random size
+            assert rep.results["associativity"] and not rep.results["frobenius_left"]
+    injections = [rep for d, rep in reports.items() if kinds[d] == 0 and d > 2]
+    assert any(not rep.results["associativity"] for rep in injections)
+
+
+def test_random_real_tables_in_one_row_blocks(monkeypatch):
+    algs = [random_table(d, 4 * d + kind, FHILB) for d in (1, 3, 6) for kind in range(4)]
+    monkeypatch.setattr(frobenius, "_BLOCK_ENTRIES", 1)
+    for alg in algs:
+        _assert_complex_report(alg, monkeypatch)
 
 
 def _real_perturbed(seed):
@@ -90,6 +124,7 @@ REAL_PERTURBED = _real_perturbed(20130219)
 def test_real_perturbations_match_the_kronecker_reference(name):
     alg = REAL_PERTURBED[name]
     assert alg.structure.dtype == np.float64
+    assert law_path(alg) == "contraction"
     got, want = check_axioms(alg), kron.check_axioms(alg)
     assert got.results == want.results
     for law in AXIOM_NAMES:
@@ -118,6 +153,7 @@ def test_rotated_pants_keeps_a_complex_structure():
     )
     assert np.abs(mult.imag).max() > 0.1
     assert rotated.structure.dtype == np.complex128
+    assert law_path(rotated) == "contraction"
     got, want = check_axioms(rotated), kron.check_axioms(rotated)
     assert got.passed and want.passed
     for law in AXIOM_NAMES:

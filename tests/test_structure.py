@@ -11,6 +11,7 @@ import pytest
 
 import kron_oracle as kron
 import pair_oracle
+from contraction_oracle import law_path
 from projlat import (
     AXIOM_NAMES,
     FrobeniusAlgebra,
@@ -136,6 +137,18 @@ def test_cases_cover_every_small_builtin_and_failing_laws():
     }
 
 
+def test_cases_take_every_law_path():
+    """Builtins, direct sums and the broken variants that stay tables take
+    the table path; a second product in one column sends rel to the packed
+    path and fhilb to the contraction, as complex perturbations do."""
+    packed, contraction = {"rel-extra-product"}, {"fhilb-bumped-entry", *PERTURBED}
+    paths = {name: law_path(alg) for name, alg in CASES.items()}
+    assert paths == {
+        name: "packed" if name in packed else "contraction" if name in contraction else "table"
+        for name in CASES
+    }
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_axioms_match_diagram_reference(name):
     _assert_same_axioms(CASES[name])
@@ -163,13 +176,15 @@ TWIN_CASES = {
 
 @pytest.mark.parametrize("name", sorted(TWIN_CASES))
 def test_dagger_twin_laws_match_their_own_contraction(name):
-    """coassociativity and frobenius_right, reported from their dagger twins,
-    against the einsum of each law's own two composites."""
+    """coassociativity, counitality and frobenius_right, reported from their
+    dagger twins, against the einsum of each law's own two composites."""
     alg = TWIN_CASES[name]
-    m = alg.structure
-    c = m.conj()
+    m, e = alg.structure, unit_point(alg).vector.conj()
+    c, one = m.conj(), np.eye(alg.carrier.size)
     sides = {
         "coassociativity": (np.einsum("lpk,pij->lijk", c, c), np.einsum("lip,pjk->lijk", c, c)),
+        "counitality_left": (np.einsum("i,kij->jk", e, c), one),
+        "counitality_right": (np.einsum("j,kij->ik", e, c), one),
         "frobenius_right": (np.einsum("lpi,kij->ljpk", m, c), np.einsum("qlj,qpk->ljpk", c, m)),
     }
     report = check_axioms(alg)
@@ -181,7 +196,7 @@ def test_dagger_twin_laws_match_their_own_contraction(name):
         else:
             assert abs(report.residuals[law] - residual) <= GAP, law
     if name.endswith("-1"):
-        assert not report.results["coassociativity"] and not report.results["frobenius_right"]
+        assert not any(report.results[law] for law in sides)
 
 
 def _points(alg, rng, count=8):
