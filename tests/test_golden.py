@@ -53,6 +53,11 @@ GOLDEN = {
         "10855dc2e7b46505c854b57cddb43d9ae1727337bbe34c67f7de233acbd264e2",
         "50162e752ad1130d9784ee1a6ac4c91df7c8d0f59f5f5e2833b064ea12dbd866",
     ),
+    "projections pants4 --seed 3": (
+        0,
+        "9b1515ee05f629388f865f53f43e0f4a07e92921481a33b4270622b6e470b156",
+        "e94eef356d5bece02da8aae8174a0b695dd4e8452627b483ea52bcbf7df0f54a",
+    ),
     "projections klein4": (
         0,
         "668e4c809415effa6fbad7d8e24106d9f9971a914ab732efbc16acbacdfecc63",
