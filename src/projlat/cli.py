@@ -13,8 +13,12 @@ Inputs are either paths to JSON documents or builtin fixture names; a path
 that does not exist falls back to the builtin named by its basename, so
 "fixtures/klein4" and "klein4" both work without any files on disk.
 
-Every rel input takes one Next-Closure path to its projections, with
---max-enum capping the closed sets; fhilb takes the 0/1 scan (the rel oracle).
+Every rel input, and every fhilb algebra whose structure constants and cup
+are real, nonnegative and above eps/(1-eps) where nonzero (each builtin and
+direct sum), takes one Next-Closure path to its projections, with --max-enum capping the closed
+sets; on carriers of at most 16 a scan of all 2^d 0/1 points cross-checks
+the family. Any other fhilb algebra takes that scan, with --max-enum
+capping its candidates.
 
 Exit codes: 0 when every law and claim checked out, 1 when a law or claim
 failed (resource caps included), 2 for usage and parse errors.
@@ -31,9 +35,9 @@ from .backend import DEFAULT_TOL, FHILB, REL, Tolerance
 from .cstar import (
     basis_algebra,
     direct_sum,
-    is_matrix_projection,
+    matrix_projection_mask,
     pants_algebra,
-    random_projection,
+    random_projections,
     subspace_join,
     subspace_meet,
 )
@@ -49,6 +53,7 @@ from .frobenius import (
 )
 from .groupoid import (
     Groupoid,
+    closure_applies,
     copyables_report,
     cyclic,
     dihedral,
@@ -257,8 +262,8 @@ def _require_text_or_structured(args) -> None:
 def _family(g, alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
     if g is not None:
         return subgroupoid_points(alg, enumerate_subgroupoids(g, max_closed=max_enum))
-    if alg.backend == REL:
-        return mask_points(alg, enumerate_projections(alg, max_closed=max_enum))
+    if closure_applies(alg, tol):
+        return mask_points(alg, enumerate_projections(alg, max_closed=max_enum, tol=tol))
     return mask_points(alg, zero_one_projections(alg, tol, max_enum))
 
 
@@ -269,10 +274,12 @@ def _sample_matrix_projections(alg: FrobeniusAlgebra, tol: Tolerance, seed: int)
     if n * n != d:
         return {"sampled": 0, "skipped": "carrier is not a full matrix block"}
     count = _SAMPLES_PER_RANK * (n + 1)  # sample t has rank t % (n + 1) and seed seed + t
-    mats = [random_projection(n, t % (n + 1), seed + t) for t in range(count)]
-    ok_point = projection_mask(alg, np.array([mat.reshape(-1) for mat in mats]), tol)
-    agreements = sum(is_matrix_projection(m, tol) and bool(ok) for m, ok in zip(mats, ok_point))
-    return {"sampled": len(mats), "agreements": agreements, "all_agree": agreements == len(mats)}
+    mats = np.empty((count, n, n), dtype=np.complex128)
+    for rank in range(n + 1):
+        mats[rank :: n + 1] = random_projections(n, rank, range(seed + rank, seed + count, n + 1))
+    ok_point = projection_mask(alg, mats.reshape(count, d), tol)
+    agreements = int(np.count_nonzero(matrix_projection_mask(mats, tol) & ok_point))
+    return {"sampled": count, "agreements": agreements, "all_agree": agreements == count}
 
 
 # -- subcommands ------------------------------------------------------------

@@ -12,20 +12,26 @@ product to point multiplication and adjoint to point conjugation, so the
 abstract projection test agrees with "idempotent and self-adjoint" on
 matrices. subspace_meet / subspace_join are the L(H) lattice operations on
 projection matrices, by rank-revealing SVD with a scaled cutoff.
+
+random_projections draws its Gaussians from the standard library's
+random.Random(seed).gauss, one generator per seed, and orthonormalises the
+whole stack by one batched QR; matrix_projection_mask tests a stack of
+matrices at once. Neither imports numpy.random.
 """
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
 from .backend import (
     DEFAULT_TOL,
     FHILB,
-    Defect,
     Tolerance,
     fhilb_morphism,
     fhilb_object,
+    rows_equal,
     tensor_objects,
     unit_object,
 )
@@ -129,8 +135,14 @@ def zero_one_points(alg: FrobeniusAlgebra) -> list[Point]:
 # -- projection matrices and the L(H) lattice -------------------------------
 
 
-def _close(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:
-    return Defect(FHILB).add(a, b).passed(tol)
+def matrix_projection_mask(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of a (k, n, n) stack: idempotent and self-adjoint, each
+    compared as one flattened row under Defect's rule."""
+    m = np.asarray(mats, dtype=np.complex128)
+    rows = m.reshape(len(m), m.shape[1] * m.shape[2])
+    square = (m @ m).reshape(rows.shape)
+    adjoint = m.conj().transpose(0, 2, 1).reshape(rows.shape)
+    return rows_equal(FHILB, square, rows, tol) & rows_equal(FHILB, adjoint, rows, tol)
 
 
 def is_matrix_projection(mat, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -138,7 +150,7 @@ def is_matrix_projection(mat, tol: Tolerance = DEFAULT_TOL) -> bool:
     m = np.asarray(mat, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return _close(m @ m, m, tol) and _close(m.conj().T, m, tol)
+    return bool(matrix_projection_mask(m[None], tol)[0])
 
 
 def _require_projections(p: np.ndarray, q: np.ndarray, tol: Tolerance):
@@ -180,14 +192,30 @@ def subspace_join(p, q, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return basis @ basis.conj().T
 
 
-def random_projection(n: int, rank: int, seed: int) -> np.ndarray:
-    """Seed-deterministic rank-r orthogonal projection on C^n."""
+def random_projections(n: int, rank: int, seeds) -> np.ndarray:
+    """Seed-deterministic rank-r orthogonal projections on C^n, one per seed,
+    as a (len(seeds), n, n) stack. Seed s fills an n x r complex Gaussian
+    matrix from random.Random(s).gauss, real parts first, row by row; one
+    batched QR then spans all of them. Rank 0 draws nothing; any other rank
+    raises ValueError for a negative seed."""
     if not 0 <= rank <= n:
         raise ValueError(f"rank {rank} out of range for dimension {n}")
+    seeds = list(seeds)
     if rank == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        return np.zeros((len(seeds), n, n), dtype=np.complex128)
+    if any(s < 0 for s in seeds):
+        raise ValueError("expected non-negative integer")
+    size = n * rank
+    draws = np.empty((len(seeds), 2 * size))
+    for row, s in zip(draws, seeds):
+        gauss = random.Random(s).gauss
+        row[:] = [gauss() for _ in range(2 * size)]
+    a = (draws[:, :size] + 1j * draws[:, size:]).reshape(len(seeds), n, rank)
     qmat, _ = np.linalg.qr(a)
-    proj = qmat @ qmat.conj().T
-    return (proj + proj.conj().T) / 2.0
+    proj = qmat @ qmat.conj().transpose(0, 2, 1)
+    return (proj + proj.conj().transpose(0, 2, 1)) / 2.0
+
+
+def random_projection(n: int, rank: int, seed: int) -> np.ndarray:
+    """Seed-deterministic rank-r orthogonal projection on C^n."""
+    return random_projections(n, rank, [seed])[0]

@@ -47,7 +47,6 @@ from .backend import (
     equal,
     numeric,
     rows_equal,
-    tensor_objects,
     unit_object,
     zero_morphism,
 )
@@ -82,7 +81,9 @@ class FrobeniusAlgebra:
     unit: Morphism
 
     def __post_init__(self):
-        square = tensor_objects(self.carrier, self.carrier)
+        # A (x) A compared by backend and size, as ObjectRef equality does,
+        # without building its d^2 labels.
+        square = ObjectRef(self.carrier.backend, self.carrier.size**2)
         if self.mult.dom != square or self.mult.cod != self.carrier:
             raise CompositionTypeError(
                 f"mult must map {square} -> {self.carrier}, got {self.mult}"

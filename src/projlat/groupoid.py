@@ -12,15 +12,17 @@ monoidal point to every identity. Projections of that algebra are exactly
 the subgroupoids. enumerate_projections lists the projections of any rel
 algebra, groupoids (through enumerate_subgroupoids) and rel algebra
 documents alike, by Ganter-style Next-Closure; max_closed caps its closed
-sets. The supports of every basis product e_i e_j and of every conjugate are
-packed once into int bitmasks: the closure reads them through byte tables,
-one lookup per byte of a closed set for each new member, the same tables
-decide exactly which closed sets are projections, and the 0/1 projection
-scan that cross-checks small carriers (and is
-brute_force_subgroupoids) squares all 2^n supports at once by a highest-bit
-recurrence on a uint64 array. Associativity is checked on an int
-composition table, and copyables by filtering an array of support bitmasks,
-both with numpy array operations.
+sets. It lists those of a real fhilb algebra with nonnegative structure
+constants too (closure_applies says which), keeping the closed sets that
+projection_mask passes. The supports of every basis product e_i e_j and of
+every conjugate are packed once into int bitmasks: the closure reads them
+through byte tables, one lookup per byte of a closed set for each new
+member, and on rel the same tables decide exactly which closed sets are
+projections. Small carriers are cross-checked by a 0/1 projection scan: on
+fhilb zero_one_projections, on rel one (also brute_force_subgroupoids) that
+squares all 2^n supports at once by a highest-bit recurrence on a uint64
+array. Associativity is checked on an int composition table, and copyables
+by filtering an array of support bitmasks, both with numpy array operations.
 """
 from __future__ import annotations
 
@@ -30,7 +32,9 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .backend import (
+    DEFAULT_TOL,
     REL,
+    Tolerance,
     rel_morphism,
     rel_object,
     related_pairs,
@@ -52,6 +56,8 @@ from .frobenius import (
     canonical_subset_name,
     check_scan_size,
     mask_points,
+    projection_mask,
+    zero_one_projections,
 )
 
 MAX_CARRIER = 64
@@ -530,10 +536,11 @@ def _support_masks(alg: FrobeniusAlgebra) -> tuple[list[list[int]], list[int]]:
 
 
 class _Closure:
-    """Bit-level closure over carrier indices, read from a rel algebra alone:
-    a closed set holds the conjugates of each member and every product of two
-    members. table[x][b][v] is the union of x.y and y.x over the members y of
-    byte b whose bits are v, so a new member costs one lookup per byte."""
+    """Bit-level closure over carrier indices, read from the supports of M
+    and the cup alone: a closed set holds the conjugates of each member and
+    every product of two members. table[x][b][v] is the union of x.y and y.x
+    over the members y of byte b whose bits are v, so a new member costs one
+    lookup per byte."""
 
     def __init__(self, alg: FrobeniusAlgebra):
         n = alg.carrier.size
@@ -562,8 +569,9 @@ class _Closure:
         return closed
 
     def is_projection(self, mask: int) -> bool:
-        """Exactly S.S = S and conj(S) = S, read from the same tables: the
-        union of x.y over members x and y of S, and of their conjugates."""
+        """On rel, exactly S.S = S and conj(S) = S, read from the same
+        tables: the union of x.y over members x and y of S, and of their
+        conjugates."""
         square = conj = 0
         data = mask.to_bytes(self.nbytes, "little")
         queue = mask
@@ -628,31 +636,75 @@ def _scanned_masks(alg: FrobeniusAlgebra) -> list[int]:
     return sorted(found, key=lambda m: _bits(m, n))
 
 
+def closure_applies(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether Next-Closure finds every projection of alg: always on rel; on
+    fhilb when M and the cup are real and entrywise >= 0, every positive
+    entry exceeds eps/(1-eps), and eps < 1.
+
+    If the 0/1 point 1_S passes projection_mask, its square's scale is at
+    most 1/(1-eps), so (1_S.1_S)_k <= eps/(1-eps) for k outside S. With no
+    negative entries nothing cancels, (1_S.1_S)_k >= M[k, i, j] for all i
+    and j in S, so S holds the support of every product of members, and
+    likewise of every conjugate: S is a closed set.
+    """
+    if alg.backend == REL:
+        return True
+    if tol.epsilon >= 1:
+        return False
+    floor = tol.epsilon / (1 - tol.epsilon)
+    return all(
+        arr.dtype.kind != "c" and (arr >= 0).all() and not ((arr > 0) & (arr <= floor)).any()
+        for arr in (alg.structure, alg.cup_matrix)
+    )
+
+
+def _mask_rows(masks: list[int], n: int, dtype) -> np.ndarray:
+    """The 0/1 coordinates of support bitmasks as the rows of one array."""
+    nbytes = (n + 7) // 8
+    data = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(data, np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(dtype)
+
+
 def enumerate_projections(
     alg: FrobeniusAlgebra,
     *,
     max_closed: int = MAX_CLOSED_SETS,
     max_carrier: int = MAX_CARRIER,
     cross_check: Optional[bool] = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> list[int]:
-    """The projections of a rel algebra as support bitmasks, in lectic order.
+    """The projections of a rel algebra as support bitmasks, in lectic order,
+    or of an fhilb algebra that closure_applies admits, in increasing order
+    (that of zero_one_projections).
 
     Every projection is closed under conjugates and products, so Next-Closure
-    lists the closed sets and _Closure.is_projection keeps, exactly, the
+    lists the closed sets. On rel, _Closure.is_projection keeps, exactly, the
     projections among them (on a groupoid algebra, all of them: the
-    subgroupoids). When the carrier is
+    subgroupoids); on fhilb, projection_mask at tol does. When the carrier is
     small (or cross_check is forced on) the 0/1 projection scan must give
     the identical list, or a LawViolation is raised.
     """
-    if alg.backend != REL:
-        raise BackendMismatch("Next-Closure enumerates rel projections only")
+    if not closure_applies(alg, tol):
+        raise BackendMismatch(
+            "Next-Closure enumerates fhilb projections only when M and the cup "
+            "are real, nonnegative and above the tolerance where nonzero"
+        )
     n = alg.carrier.size
     if n > max_carrier:
         raise ResourceLimit(f"carrier {n} exceeds cap {max_carrier}")
     ctx = _Closure(alg)
-    masks = [m for m in _next_closure_masks(ctx, max_closed) if ctx.is_projection(m)]
+    if alg.backend == REL:
+        masks = [m for m in _next_closure_masks(ctx, max_closed) if ctx.is_projection(m)]
+    else:
+        closed = sorted(_next_closure_masks(ctx, max_closed))
+        keep = projection_mask(alg, _mask_rows(closed, n, alg.structure.dtype), tol)
+        masks = [m for m, ok in zip(closed, keep.tolist()) if ok]
     if cross_check or cross_check is None and n <= BRUTE_FORCE_LIMIT:
-        oracle = _scanned_masks(alg)
+        if alg.backend == REL:
+            oracle = _scanned_masks(alg)
+        else:
+            oracle = zero_one_projections(alg, tol, 2**BRUTE_FORCE_LIMIT)
         if oracle != masks:
             raise LawViolation(
                 "Next-Closure enumeration disagrees with the 0/1 projection scan",

@@ -439,6 +439,42 @@ def test_projections_resource_cap(capsys):
     assert "resource" in err.lower() or "cap" in err
 
 
+def test_projections_cap_counts_closed_sets(capsys):
+    """--max-enum caps the closed sets of the fhilb closure path: pants3 has 15."""
+    code, _, err = run(["projections", "pants3", "--max-enum", "10"], capsys)
+    assert (code, err) == (1, "resource limit: more than 10 closed sets\n")
+    assert run(["projections", "pants3", "--max-enum", "15"], capsys)[0] == 0
+
+
+def test_projections_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run(["projections", "pants3", "--seed", "-5"], capsys)
+    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_projections_of_large_pants_by_closure(n, capsys):
+    """M_5 and M_6 are past the 0/1 scan's cap; their families are the 2^n
+    diagonal 0/1 projections."""
+    code, out, _ = run(["projections", f"pants{n}", "--format", "structured"], capsys)
+    assert code == 0
+    data = load_json(out)["data"]
+    diagonal = sum(1 << (i * n + i) for i in range(n))
+    assert data["count"] == 2**n
+    assert all(int(e[1:], 2) & ~diagonal == 0 for e in data["elements"])
+
+
+def test_projections_sampling_leaves_numpy_random_unimported():
+    code = (
+        "import contextlib, io, sys\n"
+        "from projlat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['projections', 'pants3', '--seed', '1']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "False\n")
+
+
 # -- lattice ----------------------------------------------------------------
 
 

@@ -11,11 +11,13 @@ from projlat import (
     is_matrix_projection,
     is_projection,
     matrix_from_point,
+    matrix_projection_mask,
     mult_points,
     pants_algebra,
     point_from_matrix,
     points_equal,
     random_projection,
+    random_projections,
     subspace_join,
     subspace_meet,
     vector_point,
@@ -175,6 +177,68 @@ def test_random_projection_is_deterministic():
     c = random_projection(3, 2, seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_random_projections_stack_the_one_seed_case():
+    for n in range(1, 5):
+        for rank in range(n + 1):
+            seeds = [3, 0, 2**40, 3]
+            stack = random_projections(n, rank, seeds)
+            assert stack.shape == (4, n, n)
+            for mat, seed in zip(stack, seeds):
+                assert np.array_equal(mat, random_projection(n, rank, seed))
+                assert np.trace(mat).real == pytest.approx(rank, abs=1e-9)
+    assert random_projections(3, 2, []).shape == (0, 3, 3)
+
+
+def test_random_projections_reject_negative_seeds():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        random_projections(3, 1, [0, -1])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        random_projection(2, 2, -5)
+
+
+def _non_hermitian_idempotent(n: int, rank: int, seed: int) -> np.ndarray:
+    """S P S^-1 for a projection P and a random invertible, non-unitary S."""
+    rng = np.random.default_rng(seed)
+    s = np.eye(n) + 0.5 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return s @ random_projection(n, rank, seed) @ np.linalg.inv(s)
+
+
+def test_matrix_projection_mask_matches_one_matrix_at_a_time():
+    """The stacked test against is_matrix_projection matrix by matrix: random
+    projections of every rank, scalings and non-Hermitian shifts at half and
+    twice the threshold, and non-Hermitian idempotents."""
+    eps = TOL.epsilon
+    mats = []
+    for n in range(1, 6):
+        for rank in range(n + 1):
+            for seed in range(3):
+                p = random_projection(n, rank, 100 * n + 10 * rank + seed)
+                top = max(np.abs(p).max(), 1.0)
+                mats.append(p)
+                for c in (0.5, 2.0):
+                    mats.append((1 + c * eps / top) * p)  # x^2 - x is c * eps * p / top
+                    mats.append(p + 0.5j * c * eps * np.eye(n))  # m^H - m is c * eps * I
+                if 0 < rank < n:
+                    mats.append(_non_hermitian_idempotent(n, rank, seed))
+        stack = np.array([m for m in mats if m.shape == (n, n)])
+        got = matrix_projection_mask(stack, TOL)
+        want = [is_matrix_projection(m, TOL) for m in stack]
+        assert got.tolist() == want
+        if n > 1:
+            assert any(want) and not all(want)
+    assert matrix_projection_mask(np.zeros((0, 3, 3)), TOL).shape == (0,)
+
+
+def test_matrix_projection_mask_thresholds():
+    eps = TOL.epsilon
+    p = np.diag([1.0, 0.0]).astype(np.complex128)
+    got = matrix_projection_mask(
+        [(1 + 0.5 * eps) * p, (1 + 2 * eps) * p, p + 0.25j * eps * np.eye(2), p + 1j * eps * np.eye(2)],
+        TOL,
+    )
+    assert got.tolist() == [True, False, True, False]
 
 
 def test_meet_of_random_pair_is_contained_in_both():

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from projlat.backend import PAYLOAD_DTYPE
+
 from projlat import (
     AXIOM_NAMES,
+    CompositionTypeError,
+    Morphism,
     AxiomReport,
     FrobeniusAlgebra,
     Tolerance,
@@ -113,6 +117,34 @@ def test_one_sided_unit_is_localized():
     assert "unitality_left" not in failed
     assert rep.results["associativity"]
     assert rep.residuals["unitality_right"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "carrier,dom",
+    [
+        (fhilb_object(2), fhilb_object(3)),
+        (fhilb_object(2), fhilb_object(8)),
+        (rel_object(2, ("x", "y")), rel_object(3)),
+        (rel_object(3, ("x", "y", "z")), rel_object(4, ("a", "b", "c", "d"))),
+    ],
+    ids=["fhilb3", "fhilb8", "rel3", "rel4-labelled"],
+)
+def test_mult_with_a_wrongly_sized_domain_is_refused(carrier, dom):
+    payload = np.zeros((carrier.size, dom.size), dtype=PAYLOAD_DTYPE[carrier.backend])
+    unit = Morphism(unit_object(carrier.backend), carrier, np.ones((carrier.size, 1), payload.dtype))
+    with pytest.raises(CompositionTypeError, match="mult must map"):
+        FrobeniusAlgebra(carrier, Morphism(dom, carrier, payload), unit)
+
+
+def test_mult_domain_labels_play_no_part():
+    two = rel_object(2, ("x", "y"))
+    pairs = rel_object(4, ("p", "q", "r", "s"))
+    alg = FrobeniusAlgebra(
+        two,
+        rel_morphism(pairs, two, {(0, 0), (3, 1)}),
+        rel_morphism(unit_object("rel"), two, {(0, 0), (0, 1)}),
+    )
+    assert alg.mult.dom.labels == ("p", "q", "r", "s")
 
 
 def test_axiom_report_round_trip():

@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from lattice_oracle import forbidden_sublattices
 from projlat import (
     LawViolation,
     ProjectionPoset,
@@ -17,7 +18,6 @@ from projlat import (
     cyclic,
     dihedral,
     enumerate_subgroupoids,
-    forbidden_sublattices,
     hasse_edges,
     inclusion_poset,
     interval,
