@@ -267,16 +267,23 @@ def _family(g, alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Poi
     return mask_points(alg, zero_one_projections(alg, tol, max_enum))
 
 
+def _sampled_matrices(n: int, seed: int) -> np.ndarray:
+    """The sampled projections on C^n: sample t has rank t % (n + 1) and seed seed + t."""
+    count = _SAMPLES_PER_RANK * (n + 1)
+    mats = np.empty((count, n, n), dtype=np.complex128)
+    for rank in range(n + 1):
+        mats[rank :: n + 1] = random_projections(n, rank, range(seed + rank, seed + count, n + 1))
+    return mats
+
+
 def _sample_matrix_projections(alg: FrobeniusAlgebra, tol: Tolerance, seed: int) -> dict:
     """Seeded random projections checked through the vectorized embedding."""
     d = alg.carrier.size
     n = int(round(d**0.5))
     if n * n != d:
         return {"sampled": 0, "skipped": "carrier is not a full matrix block"}
-    count = _SAMPLES_PER_RANK * (n + 1)  # sample t has rank t % (n + 1) and seed seed + t
-    mats = np.empty((count, n, n), dtype=np.complex128)
-    for rank in range(n + 1):
-        mats[rank :: n + 1] = random_projections(n, rank, range(seed + rank, seed + count, n + 1))
+    mats = _sampled_matrices(n, seed)
+    count = len(mats)
     ok_point = projection_mask(alg, mats.reshape(count, d), tol)
     agreements = int(np.count_nonzero(matrix_projection_mask(mats, tol) & ok_point))
     return {"sampled": count, "agreements": agreements, "all_agree": agreements == count}

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from projlat import (
     load_json,
     pants_algebra,
     parse_report,
+    random_projection,
     rel_morphism,
     rel_object,
     tensor_objects,
@@ -461,6 +463,14 @@ def test_projections_of_large_pants_by_closure(n, capsys):
     diagonal = sum(1 << (i * n + i) for i in range(n))
     assert data["count"] == 2**n
     assert all(int(e[1:], 2) & ~diagonal == 0 for e in data["elements"])
+
+
+def test_sampled_matrices_keep_the_rank_and_seed_rule():
+    for n, seed in ((1, 0), (3, 11), (4, 2**33)):
+        mats = cli._sampled_matrices(n, seed)
+        assert len(mats) == 20 * (n + 1)
+        for t, mat in enumerate(mats):
+            assert np.array_equal(mat, random_projection(n, t % (n + 1), seed + t))
 
 
 def test_projections_sampling_leaves_numpy_random_unimported():
