@@ -658,14 +658,6 @@ def closure_applies(alg: FrobeniusAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool
     )
 
 
-def _mask_rows(masks: list[int], n: int, dtype) -> np.ndarray:
-    """The 0/1 coordinates of support bitmasks as the rows of one array."""
-    nbytes = (n + 7) // 8
-    data = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(data, np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(dtype)
-
-
 def enumerate_projections(
     alg: FrobeniusAlgebra,
     *,
@@ -698,7 +690,8 @@ def enumerate_projections(
         masks = [m for m in _next_closure_masks(ctx, max_closed) if ctx.is_projection(m)]
     else:
         closed = sorted(_next_closure_masks(ctx, max_closed))
-        keep = projection_mask(alg, _mask_rows(closed, n, alg.structure.dtype), tol)
+        rows = np.array([_bits(m, n) for m in closed], dtype=alg.structure.dtype)
+        keep = projection_mask(alg, rows, tol)
         masks = [m for m, ok in zip(closed, keep.tolist()) if ok]
     if cross_check or cross_check is None and n <= BRUTE_FORCE_LIMIT:
         if alg.backend == REL:
