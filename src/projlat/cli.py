@@ -15,10 +15,10 @@ that does not exist falls back to the builtin named by its basename, so
 
 Every rel input, and every fhilb algebra whose structure constants and cup
 are real, nonnegative and above eps/(1-eps) where nonzero (each builtin and
-direct sum), takes one Next-Closure path to its projections, with --max-enum capping the closed
-sets; on carriers of at most 16 a scan of all 2^d 0/1 points cross-checks
-the family. Any other fhilb algebra takes that scan, with --max-enum
-capping its candidates.
+direct sum), takes one Next-Closure path to its projections, with
+--max-enum capping the closed sets; on carriers of at most 16 a scan of all
+2^d 0/1 points cross-checks the family. Any other fhilb algebra takes that
+scan, with --max-enum capping its candidates.
 
 Exit codes: 0 when every law and claim checked out, 1 when a law or claim
 failed (resource caps included), 2 for usage and parse errors.

@@ -234,9 +234,9 @@ def test_matrix_projection_mask_matches_one_matrix_at_a_time():
 def test_matrix_projection_mask_thresholds():
     eps = TOL.epsilon
     p = np.diag([1.0, 0.0]).astype(np.complex128)
+    shift = 1j * eps * np.eye(2)
     got = matrix_projection_mask(
-        [(1 + 0.5 * eps) * p, (1 + 2 * eps) * p, p + 0.25j * eps * np.eye(2), p + 1j * eps * np.eye(2)],
-        TOL,
+        [(1 + 0.5 * eps) * p, (1 + 2 * eps) * p, p + 0.25 * shift, p + shift], TOL
     )
     assert got.tolist() == [True, False, True, False]
 

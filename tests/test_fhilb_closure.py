@@ -122,12 +122,12 @@ def test_cross_check_disagreement_raises(monkeypatch):
 
 
 def _scan_cases():
-    phase = np.exp(0.25j * np.pi)
+    phase, half = np.exp(0.25j * np.pi), np.exp(0.125j * np.pi)
     return [
         # complex structure constants: e_01 and e_10 pick up a phase
         ("complex", _rebased(pants_algebra(2), [1, phase, phase, 1]), [0, 1, 8, 9]),
         # every entry 1 or exp(-i pi/4): real parts all positive, still complex
-        ("complex-positive", _rebased(pants_algebra(2), [1, phase**0.5, phase**0.5, 1]), [0, 1, 8, 9]),
+        ("complex-positive", _rebased(pants_algebra(2), [1, half, half, 1]), [0, 1, 8, 9]),
         # M[1, 1, 1] = -1: e_1 is no 0/1 projection any more
         ("negative", _rebased(basis_algebra(2), [1, -1]), [0, 1]),
         ("negative-pants", _rebased(pants_algebra(2), [1, -1, 1, 1]), [0, 1, 8, 9]),

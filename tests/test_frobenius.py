@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from projlat.backend import PAYLOAD_DTYPE
-
 from projlat import (
     AXIOM_NAMES,
-    CompositionTypeError,
-    Morphism,
     AxiomReport,
+    CompositionTypeError,
     FrobeniusAlgebra,
+    Morphism,
     Tolerance,
     basis_algebra,
     check_axioms,
@@ -43,6 +41,7 @@ from projlat import (
     vector_point,
     zero_point,
 )
+from projlat.backend import PAYLOAD_DTYPE
 
 Z2 = to_algebra(cyclic(2))
 K4 = to_algebra(klein4())
