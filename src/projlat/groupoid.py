@@ -673,8 +673,8 @@ def enumerate_projections(
     Every projection is closed under conjugates and products, so Next-Closure
     lists the closed sets. On rel, _Closure.is_projection keeps, exactly, the
     projections among them (on a groupoid algebra, all of them: the
-    subgroupoids); on fhilb, projection_mask at tol does. When the carrier is
-    small (or cross_check is forced on) the 0/1 projection scan must give
+    subgroupoids); on fhilb, projection_mask at tol does. When the carrier
+    is small (or cross_check is forced on) the 0/1 projection scan must give
     the identical list, or a LawViolation is raised.
     """
     if not closure_applies(alg, tol):
