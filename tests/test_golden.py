@@ -48,6 +48,11 @@ GOLDEN = {
         "39356f527052be629deae53498012e635fb5049a1ace1b8eefc4033c8f9beda5",
         "d6eace48411baf7c46bbc6f5017e5cca03a50b3816fc6c78c87cd0db0cb201bc",
     ),
+    "validate two-intervals": (
+        0,
+        "307713b9a1d9cb16ac00831e01defa99070cbcc7cd1c81b4776451f97d3f98fd",
+        "b42529012c831e4b54313d6443f68b36e07711851b45e2cb4ccf4ac2c0231df5",
+    ),
     "projections pants2 --seed 7": (
         0,
         "10855dc2e7b46505c854b57cddb43d9ae1727337bbe34c67f7de233acbd264e2",
@@ -72,6 +77,11 @@ GOLDEN = {
         0,
         "88099d94b0234e7e59826c29992ff4f16cddf5fccf60e5b7a8b826a5fe344ef3",
         "9dd0e9633c956ea3f46f959a1ab8926fe64e18259858d5651b6fa416564bfa4b",
+    ),
+    "lattice z2xz4 --order inclusion": (
+        0,
+        "46510b80d470115f7d4fc2022cec9f7868b8334edbde5a640811fa620890240b",
+        "75d3e5c46e2695accb811f9207cd6918378d41d2ad83fe74eaaf104dcf54190a",
     ),
     "lattice interval --order mult": (
         0,
@@ -113,6 +123,11 @@ GOLDEN = {
         "3b4c1624e94853e2b62dcad09473f211e016a061d041b8b855fb9ba486f393bd",
         "53677faf3ed7de1a1e6c1c9267f0839ad726a4c0e673c2b32f27d4b6f5fdf191",
     ),
+    "lattice basis5 --order mult": (
+        0,
+        "6243c22515f14b8f62f7af50c364846f591a2aaffaca55f1745bf0e3deab5081",
+        "5b593d2172a1e96520cb49528323f70d48e5428b68abd09b70a44d2def041e4f",
+    ),
     "copyables interval": (
         1,
         "96fb314194d43722d428c8a08efd6b66978b4538012fcfab64c969ee591c95c5",
@@ -127,6 +142,16 @@ GOLDEN = {
         0,
         "2557be5fc3924a9805fee4685001362cef0dc1ff1754e5863b4161a6e4fee395",
         "84ee04fb7ac57adda4daa3556018a981f6655e8c246c60d8c3b5172ced42c557",
+    ),
+    "copyables z2xz4": (
+        0,
+        "ae2055a4741b4fd3622d65fe5f065f56a8b0ca5592ba168aabdab7bae24e78b6",
+        "e6d24221c333f1769f6ad87b07c942f6b154266bea60547e295dd6daef78f357",
+    ),
+    "copyables two-intervals": (
+        1,
+        "c9d1bc0036af40bcecdb4da699439208579c130f8718aa5905d32f09ad717ed2",
+        "576058fba378d47d5b494289bacc8d9dee1de4e198ffbbdb65593e7c6cfb7210",
     ),
     "tensor cyclic2 cyclic2": (
         0,
