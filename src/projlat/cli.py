@@ -246,7 +246,7 @@ def _render(value, indent: int = 0) -> list[str]:
 def _emit(command: str, data: dict, args) -> None:
     doc = CliReport(command, data).to_dict()
     if args.format == "structured":
-        sys.stdout.write(dump_json(doc))
+        dump_json(doc, sys.stdout)
     else:
         sys.stdout.write("\n".join(_render(doc)) + "\n")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional
 
 import numpy as np
@@ -521,17 +522,21 @@ def mask_points(alg: FrobeniusAlgebra, masks: Iterable[int]) -> list[Point]:
     """The 0/1 points with these support bitmasks, named by the canonical set
     of their labels, or on a carrier without labels by the bit string
     (coordinate 0 last) after "s" on rel and "b" on fhilb."""
+    masks = [int(m) for m in masks]
     n, labels = alg.carrier.size, alg.carrier.labels
-    points = []
-    for mask in masks:
-        bits = [mask >> i & 1 for i in range(n)]
-        if labels is None:
-            name = f"{'s' if alg.backend == REL else 'b'}{mask:0{n}b}"
-        else:
-            name = canonical_subset_name(label for label, bit in zip(labels, bits) if bit)
-        column = Morphism(alg.unit.dom, alg.carrier, np.reshape(bits, (n, 1)))
-        points.append(Point(alg, column, name))
-    return points
+    nbytes = (n + 7) // 8
+    data = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    rows = np.unpackbits(
+        np.frombuffer(data, np.uint8).reshape(len(masks), nbytes), axis=1, count=n, bitorder="little"
+    ).reshape(len(masks), n, 1)
+    if labels is None:
+        prefix = "s" if alg.backend == REL else "b"
+        names = [f"{prefix}{m:0{n}b}" for m in masks]
+    else:
+        names = [canonical_subset_name(compress(labels, row)) for row in rows[:, :, 0].tolist()]
+    return [
+        Point(alg, Morphism(alg.unit.dom, alg.carrier, row), name) for row, name in zip(rows, names)
+    ]
 
 
 def mult_points(p: Point, q: Point) -> Point:

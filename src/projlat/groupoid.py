@@ -27,6 +27,7 @@ by filtering an array of support bitmasks, both with numpy array operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -127,6 +128,28 @@ class Groupoid:
 # -- document validation ----------------------------------------------------
 
 
+def _compose_table(entries: list, names: set) -> dict[tuple[str, str], str]:
+    """The compose list as {(f, g): h}; ParseError for its first entry that is
+    not a triple, names an unknown morphism or repeats a pair."""
+    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {3}:
+        columns = [list(map(str, col)) for col in zip(*entries)] if entries else [[]] * 3
+        table = dict(zip(zip(columns[0], columns[1]), columns[2]))
+        if len(table) == len(entries) and all(names.issuperset(col) for col in columns):
+            return table
+    table = {}  # something is wrong: find the first bad entry, in list order
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ParseError(f"compose entry {entry!r} is not a triple")
+        f, g, h = (str(x) for x in entry)
+        for nm in (f, g, h):
+            if nm not in names:
+                raise ParseError(f"compose entry references unknown morphism {nm!r}")
+        if (f, g) in table:
+            raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")
+        table[(f, g)] = h
+    return table
+
+
 def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]:
     if not isinstance(doc, dict):
         raise ParseError("groupoid document must be a mapping")
@@ -150,18 +173,7 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
     names = {m.name for m in morphisms}
     if len(names) != len(morphisms):
         raise ParseError("duplicate morphism names")
-    table = {}
-    for entry in doc["compose"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ParseError(f"compose entry {entry!r} is not a triple")
-        f, g, h = (str(x) for x in entry)
-        for nm in (f, g, h):
-            if nm not in names:
-                raise ParseError(f"compose entry references unknown morphism {nm!r}")
-        if (f, g) in table:
-            raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")
-        table[(f, g)] = h
-    return objects, tuple(morphisms), table
+    return objects, tuple(morphisms), _compose_table(doc["compose"], names)
 
 
 def _declared(doc: dict, key: str) -> Optional[dict]:
@@ -171,108 +183,112 @@ def _declared(doc: dict, key: str) -> Optional[dict]:
     return value
 
 
-def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
-    """One parse and one search: the violations, and the groupoid when there are none."""
-    objects, morphisms, table = _parse_structure(doc)
-    by_name = {m.name: m for m in morphisms}
-    violations: list[Violation] = []
+_DECLARED = {"identities": ("object", "identity"), "inverses": ("morphism", "inverse")}
 
-    for (f, g), h in table.items():
-        mf, mg, mh = by_name[f], by_name[g], by_name[h]
-        if mf.dom != mg.cod:
+
+def _declared_index(declared: dict, field: str, key: str, index: dict[str, int]) -> int:
+    """The index of the morphism declared for key; ParseError if none or unknown."""
+    owner, what = _DECLARED[field]
+    if key not in declared:
+        raise ParseError(f"declared {field} missing {owner} {key!r}")
+    name = str(declared[key])
+    if name not in index:
+        raise ParseError(f"declared {what} {name!r} unknown")
+    return index[name]
+
+
+def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
+    """One parse and one search: the violations, and the groupoid when there are none.
+
+    Names are mapped to indices once; every law is decided on int arrays
+    (dom, cod, the composition table comp[f, g]), and a Violation is built
+    only for a hit, in the order of a loop over the document.
+    """
+    objects, morphisms, table = _parse_structure(doc)
+    names = [m.name for m in morphisms]
+    index = {nm: i for i, nm in enumerate(names)}
+    where = {x: i for i, x in enumerate(objects)}
+    n = len(names)
+    dom = np.array([where[m.dom] for m in morphisms], dtype=np.intp)
+    cod = np.array([where[m.cod] for m in morphisms], dtype=np.intp)
+    pairs = list(table)
+    f, g, h = (
+        np.array(list(map(index.__getitem__, col)), dtype=np.intp)
+        for col in (map(itemgetter(0), pairs), map(itemgetter(1), pairs), table.values())
+    )
+    loose = dom[f] != cod[g]
+    mistyped = ~loose & ((dom[h] != dom[g]) | (cod[h] != cod[f]))
+    violations: list[Violation] = []
+    for k in np.flatnonzero(loose | mistyped).tolist():
+        fg = pairs[k]
+        if loose[k]:
+            violations.append(Violation("composability", fg, "table entry for a non-composable pair"))
+        else:
             violations.append(
-                Violation("composability", (f, g), "table entry for a non-composable pair")
+                Violation("composition-typing", (*fg, table[fg]), "composite has wrong dom/cod")
             )
-        elif mh.dom != mg.dom or mh.cod != mf.cod:
-            violations.append(
-                Violation("composition-typing", (f, g, h), "composite has wrong dom/cod")
-            )
-    for mf in morphisms:
-        for mg in morphisms:
-            if mf.dom == mg.cod and (mf.name, mg.name) not in table:
-                violations.append(
-                    Violation("totality", (mf.name, mg.name), "composable pair missing from table")
-                )
+    comp = np.full((n, n), -1, dtype=np.intp)  # comp[f, g] = f after g, -1 where it does not compose
+    comp[f, g] = h
+    missing = (dom[:, None] == cod[None, :]) & (comp < 0)
+    violations += [
+        Violation("totality", (names[a], names[b]), "composable pair missing from table")
+        for a, b in np.argwhere(missing).tolist()
+    ]
     if violations:
         return violations, None  # structural defects make the remaining laws unstatable
 
-    index = {m.name: i for i, m in enumerate(morphisms)}
-    names, n = list(index), len(index)
-    comp = np.full((n, n), -1)  # comp[f, g] = f after g, -1 where the pair does not compose
-    for (f, g), h in table.items():
-        comp[index[f], index[g]] = index[h]
     rows = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    flat = comp.ravel()
     for start in range(0, n, rows):
         fs = np.arange(start, min(n, start + rows))
-        lhs = comp[comp[fs]]  # (f.g).h; entries read through a -1 are masked out below
-        rhs = comp[fs[:, None, None], comp[None]]  # f.(g.h)
+        lhs = comp.take(comp[fs], axis=0)  # (f.g).h; entries read through a -1 are masked out below
+        rhs = flat.take(fs[:, None, None] * n + comp[None])  # f.(g.h)
         bad = (comp[fs] >= 0)[:, :, None] & (comp >= 0)[None] & (lhs != rhs)
-        for f, g, h in np.argwhere(bad).tolist():  # row-major: the order of a loop over f, g, h
-            ends = names[lhs[f, g, h]], names[rhs[f, g, h]]
-            witness = (names[start + f], names[g], names[h], *ends)
+        for a, b, c in np.argwhere(bad).tolist():  # row-major: the order of a loop over f, g, h
+            ends = names[lhs[a, b, c]], names[rhs[a, b, c]]
+            witness = (names[start + a], names[b], names[c], *ends)
             violations.append(Violation("associativity", witness, "(f.g).h != f.(g.h)"))
 
+    # e is an identity of its object x when m.e = m for every m out of x and
+    # e.m = m for every m into x (with totality, all those pairs compose)
+    ar = np.arange(n)
+    is_unit = (
+        (dom == cod)
+        & ((comp == ar[:, None]) | (dom[:, None] != cod[None, :])).all(axis=0)
+        & ((comp == ar[None, :]) | (cod[None, :] != dom[:, None])).all(axis=1)
+    )
+    first_unit: dict[int, int] = {}
+    for e in np.flatnonzero(is_unit).tolist():
+        first_unit.setdefault(int(dom[e]), e)
     declared_ids = _declared(doc, "identities")
     identities: dict[str, str] = {}
-    for x in objects:
+    unit_of = np.full(len(objects), -1, dtype=np.intp)
+    for x, obj in enumerate(objects):
         if declared_ids is not None:
-            if x not in declared_ids:
-                raise ParseError(f"declared identities missing object {x!r}")
-            candidates = [str(declared_ids[x])]
-            if candidates[0] not in by_name:
-                raise ParseError(f"declared identity {candidates[0]!r} unknown")
+            e = _declared_index(declared_ids, "identities", obj, index)
+            found = e if is_unit[e] and dom[e] == x else None
         else:
-            candidates = [
-                m.name for m in morphisms if m.dom == x and m.cod == x
-            ]
-        found = None
-        for e in candidates:
-            me = by_name[e]
-            if me.dom != x or me.cod != x:
-                continue
-            ok = all(
-                table.get((m.name, e)) == m.name for m in morphisms if m.dom == x
-            ) and all(
-                table.get((e, m.name)) == m.name for m in morphisms if m.cod == x
-            )
-            if ok:
-                found = e
-                break
+            found = first_unit.get(x)
         if found is None:
-            violations.append(
-                Violation("identity", (x,), "object has no two-sided identity")
-            )
+            violations.append(Violation("identity", (obj,), "object has no two-sided identity"))
         else:
-            identities[x] = found
+            identities[obj] = names[found]
+            unit_of[x] = found
 
-    inverses: dict[str, str] = {}
+    # inverts[m, g]: g.m is the identity of dom m and m.g that of cod m
+    id_dom, id_cod = unit_of[dom], unit_of[cod]
+    inverts = (comp.T == id_dom[:, None]) & (comp == id_cod[:, None])
     declared_inv = _declared(doc, "inverses")
-    for m in morphisms:
-        idd = identities.get(m.dom)
-        idc = identities.get(m.cod)
-        if idd is None or idc is None:
-            continue  # already reported as identity violations
+    inverses: dict[str, str] = {}
+    for m in np.flatnonzero((id_dom >= 0) & (id_cod >= 0)).tolist():  # else an identity violation
         if declared_inv is not None:
-            if m.name not in declared_inv:
-                raise ParseError(f"declared inverses missing morphism {m.name!r}")
-            candidates = [str(declared_inv[m.name])]
-            if candidates[0] not in by_name:
-                raise ParseError(f"declared inverse {candidates[0]!r} unknown")
+            found = _declared_index(declared_inv, "inverses", names[m], index)
         else:
-            candidates = [
-                g.name for g in morphisms if g.dom == m.cod and g.cod == m.dom
-            ]
-        found = None
-        for g in candidates:
-            if table.get((g, m.name)) == idd and table.get((m.name, g)) == idc:
-                found = g
-                break
-        if found is None:
-            violations.append(
-                Violation("inverse", (m.name,), "morphism has no two-sided inverse")
-            )
+            found = int(inverts[m].argmax())  # the first candidate that inverts m
+        if inverts[m, found]:
+            inverses[names[m]] = names[found]
         else:
-            inverses[m.name] = found
+            violations.append(Violation("inverse", (names[m],), "morphism has no two-sided inverse"))
     if violations:
         return violations, None
     return [], Groupoid(objects, morphisms, table, identities, inverses)
@@ -482,18 +498,26 @@ def to_algebra(g: Groupoid) -> FrobeniusAlgebra:
     )
 
 
-def subset_point(alg: FrobeniusAlgebra, names: Iterable[str], name: str | None = None) -> Point:
-    """The subset of the carrier, by label, as a rel point."""
+def subset_points(alg: FrobeniusAlgebra, name_sets: Iterable[Iterable[str]]) -> list[Point]:
+    """Subsets of the carrier, by label, as rel points, in one mask_points call."""
     if alg.backend != REL:
         raise BackendMismatch("subset points only exist on the rel backend")
     labels = alg.carrier.labels
     if labels is None:
         raise ValueError("carrier has no labels to resolve subset names")
-    wanted = set(names)
-    unknown = wanted - set(labels)
-    if unknown:
-        raise ValueError(f"unknown carrier labels: {sorted(unknown)}")
-    (point,) = mask_points(alg, [sum(1 << i for i, lab in enumerate(labels) if lab in wanted)])
+    bit = {label: 1 << i for i, label in enumerate(labels)}
+    masks = []
+    for names in name_sets:
+        wanted = set(names)
+        if not wanted <= bit.keys():
+            raise ValueError(f"unknown carrier labels: {sorted(wanted - bit.keys())}")
+        masks.append(sum(map(bit.__getitem__, wanted)))
+    return mask_points(alg, masks)
+
+
+def subset_point(alg: FrobeniusAlgebra, names: Iterable[str], name: str | None = None) -> Point:
+    """The subset of the carrier, by label, as a rel point."""
+    (point,) = subset_points(alg, [names])
     return point if name is None else point.renamed(name)
 
 
@@ -725,7 +749,7 @@ def enumerate_subgroupoids(g: Groupoid, **caps) -> list[Subgroupoid]:
 
 
 def subgroupoid_points(alg: FrobeniusAlgebra, subs: Iterable[Subgroupoid]) -> list[Point]:
-    return [subset_point(alg, s.members) for s in subs]
+    return subset_points(alg, (s.members for s in subs))
 
 
 # -- components and copyables ----------------------------------------------
@@ -762,39 +786,60 @@ def _component_name_sets(g: Groupoid) -> list[frozenset[str]]:
 def connected_components(g: Groupoid) -> list[Point]:
     """Morphism blocks of the object-connectivity partition, as points."""
     alg = to_algebra(g)
-    return [subset_point(alg, block) for block in _component_name_sets(g)]
-
-
-def _algebra_products(alg: FrobeniusAlgebra) -> list[tuple[int, int, int]]:
-    n = alg.carrier.size
-    return [(pair // n, pair % n, k) for pair, k in related_pairs(alg.mult)]
+    return subset_points(alg, _component_name_sets(g))
 
 
 def _component_masks(alg: FrobeniusAlgebra) -> list[int]:
+    """The support of each block, by lowest member, where each product
+    e_i e_j containing e_k links i, j and k."""
     n = alg.carrier.size
-    uf = _UnionFind(n)
-    for i, j, k in _algebra_products(alg):
-        uf.union(i, j)
-        uf.union(i, k)
-    blocks: dict[int, int] = {}
-    for i in range(n):
-        root = uf.find(i)
-        blocks[root] = blocks.get(root, 0) | 1 << i
-    return list(blocks.values())
+    m = alg.mult.payload.reshape(n, n, n)  # [k, i, j]
+    link = m.any(0) | m.any(2).T | m.any(1).T  # i-j, i-k, j-k
+    reach = (link | link.T | np.eye(n, dtype=bool)).astype(np.float32)
+    while True:  # square until closed under paths; counts <= n are exact
+        wider = (reach @ reach > 0).astype(np.float32)
+        if (wider == reach).all():
+            break
+        reach = wider
+    masks: dict[int, int] = {}
+    for i, lowest in enumerate((reach > 0).argmax(axis=0).tolist()):
+        masks[lowest] = masks.get(lowest, 0) | 1 << i
+    return list(masks.values())
+
+
+def _is_special(alg: FrobeniusAlgebra) -> bool:
+    """m . m^dagger = id for a rel algebra, read off M: every product e_i e_j
+    has at most one member and every element is some product."""
+    payload = alg.mult.payload
+    return bool((payload.sum(axis=0) <= 1).all() and payload.any(axis=1).all())
 
 
 def enumerate_copyables(alg: FrobeniusAlgebra) -> list[Point]:
     """All rel points satisfying the copying equation, in lectic order, named
-    by mask_points. Each test filters a uint64 array of support bitmasks.
+    by mask_points.
 
-    Carriers up to BRUTE_FORCE_LIMIT scan all 2^n masks. Above that only the
-    cheap candidates (empty set, each connectivity block, their union) are
-    tested, so the result is sound but not exhaustive.
+    A set S is copyable when, for every product e_i e_j containing e_k, k is
+    in S exactly when i and j are, and every pair of members composes. Each
+    block passes the first clause. On a special algebra, a groupoid by
+    Heunen-Contreras-Cattaneo, the copyables are exactly the empty set and
+    the blocks whose members all compose (single-object components; see
+    copyables_report), at every size. Otherwise each test filters a uint64
+    array of support bitmasks: carriers up to BRUTE_FORCE_LIMIT scan all
+    2^n masks, larger ones test only the cheap candidates (empty set, each
+    block, their union), so that result is sound but not exhaustive.
     """
     if alg.backend != REL:
         raise BackendMismatch("copyable enumeration is a rel operation")
     n = alg.carrier.size
-    products = _algebra_products(alg)
+    if _is_special(alg):
+        composes = alg.mult.payload.any(axis=0).reshape(n, n)
+        copyable = [0]
+        for block in _component_masks(alg):
+            members = np.flatnonzero(_bits(block, n))
+            if composes[np.ix_(members, members)].all():
+                copyable.append(block)
+        return mask_points(alg, sorted(copyable, key=lambda m: _bits(m, n)))
+    products = [(pair // n, pair % n, k) for pair, k in related_pairs(alg.mult)]
     # A step tests one product while the array is long, many once it is short.
     # It shrinks fastest if early products reject independently: x e = x and
     # e x = x rarely break a mask and go last; along the diagonals of

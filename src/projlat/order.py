@@ -9,16 +9,22 @@ the subset-inclusion order, and compare_orders documents how the two relate
 (for one-object groupoids the multiplication order is dual to inclusion
 above the empty set).
 
-Meets, joins, the top and the maximum orthogonal elements come from one
-greatest-element routine and are cached on the poset, so every analytic
-reads the same tables; the lattice report then scans triples for
-distributivity and modularity. The orthocomplement probe measures, per
-element, whether a maximum orthogonal element exists and which
-complementation clauses it satisfies.
+Meets and joins are looked up: the meet of i and j is the element whose
+down-set is the intersection of theirs, found by binary search among the
+sorted packed down-sets (joins likewise with up-sets). The top and the
+maximum orthogonal elements come from one greatest-element routine. All of
+these, and the cover relation, are cached on the poset, so every analytic
+reads the same tables. The lattice report decides modularity and
+distributivity by O(n^2) certificates from lattice theory (a graded height
+that is a valuation; every join-irreducible join-prime) and scans triples
+only to find the first witness when a certificate fails. The
+orthocomplement probe measures, per element, whether a maximum orthogonal
+element exists and which complementation clauses it satisfies.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +33,7 @@ import numpy as np
 from .backend import DEFAULT_TOL, REL, Tolerance
 from .errors import LawViolation, Report, Violation
 from .frobenius import (
+    _BLOCK_ENTRIES,
     FrobeniusAlgebra,
     Point,
     is_projection,
@@ -34,7 +41,7 @@ from .frobenius import (
     points_equal,
     zero_point,
 )
-from .groupoid import Groupoid, Subgroupoid, is_cyclic_group, subset_point
+from .groupoid import Groupoid, Subgroupoid, is_cyclic_group, subset_points
 
 
 # -- poset construction -----------------------------------------------------
@@ -94,6 +101,30 @@ def _greatest(sets: np.ndarray, leq: np.ndarray) -> np.ndarray:
     return np.where(found, candidate, -1)
 
 
+def _bound_lookup(bound: np.ndarray) -> np.ndarray:
+    """[i, j]: the k whose row of bound is the AND of rows i and j, -1 if none.
+
+    With bound[i] the down-set of i, that k is the meet of i and j: the
+    meet's down-set is exactly the set of common lower bounds, and distinct
+    elements have distinct down-sets. Rows are packed into byte strings and
+    sorted once; the AND of each pair of rows is found by binary search.
+    """
+    n = bound.shape[0]
+    packed = np.packbits(bound, axis=1)
+    key = np.dtype(f"V{packed.shape[1]}")
+    owner = np.argsort(packed.view(key).ravel())
+    rows = packed.view(key).ravel()[owner]
+    table = np.empty((n, n), dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // max(1, n * packed.shape[1]))
+    for start in range(0, n, step):
+        anded = np.ascontiguousarray(packed[start : start + step, None] & packed[None])
+        anded = anded.view(key)[..., 0]
+        at = np.minimum(np.searchsorted(rows, anded), n - 1)
+        table[start : start + step] = np.where(rows[at] == anded, owner[at], -1)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectionPoset:
     """A verified finite projection order with orthogonality and a zero."""
@@ -135,25 +166,24 @@ class ProjectionPoset:
     def is_leq(self, a: str, b: str) -> bool:
         return bool(self.leq[self.index(a), self.index(b)])
 
-    def _bound_table(self, bound: np.ndarray) -> np.ndarray:
-        """[i, j]: the best common bound of i and j, -1 if none.
-
-        bound[i, k] says k bounds i. The best bound is the greatest in the
-        order bound.T, which is leq for lower bounds and its reverse for upper.
-        """
-        table = np.stack([_greatest(bound[i] & bound, bound.T) for i in range(self.n)])
-        table.setflags(write=False)
-        return table
-
     @functools.cached_property
     def meet(self) -> np.ndarray:
         """meet[i, j]: index of the greatest lower bound of i and j, -1 if none."""
-        return self._bound_table(np.ascontiguousarray(self.leq.T))
+        return _bound_lookup(np.ascontiguousarray(self.leq.T))
 
     @functools.cached_property
     def join(self) -> np.ndarray:
         """join[i, j]: index of the least upper bound of i and j, -1 if none."""
-        return self._bound_table(self.leq)
+        return _bound_lookup(self.leq)
+
+    @functools.cached_property
+    def covers(self) -> np.ndarray:
+        """covers[a, b]: a < b with nothing strictly between."""
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        through = strict.astype(np.float32) @ strict.astype(np.float32)  # counts <= n, exact
+        covers = strict & (through == 0)
+        covers.setflags(write=False)
+        return covers
 
     @functools.cached_property
     def complement(self) -> np.ndarray:
@@ -239,7 +269,7 @@ def inclusion_poset(
     members = [s.members for s in subs]
     if len(set(members)) != len(members):
         raise ValueError("duplicate subgroupoids in family")
-    points = [subset_point(alg, m) for m in members]
+    points = subset_points(alg, members)
     names = [s.name for s in subs]
     zero_index = members.index(frozenset())
     rows = np.array([p.morphism.payload[:, 0] for p in points], np.float32)
@@ -386,25 +416,23 @@ def orthocomplement_probe(poset: ProjectionPoset) -> ProbeReport:
         return ProbeReport(False, ())
     comp = poset.complement
     has = comp >= 0
-    entries = []
-    for a in sorted(range(poset.n), key=lambda k: poset.names[k]):
-        m = comp[a]
-        if m < 0:
-            entries.append(ProbeEntry(poset.names[a], False, None, None, None, None, None))
-            continue
-        reversing = poset.leq[comp[poset.leq[a] & has], m].all()
-        entries.append(
-            ProbeEntry(
-                poset.names[a],
-                True,
-                poset.names[m],
-                bool(poset.meet[a, m] == poset.zero_index),
-                bool(poset.join[a, m] == top),
-                bool(comp[m] == a),
-                bool(reversing),
-            )
-        )
-    return ProbeReport(True, tuple(entries))
+    m = np.where(has, comp, 0)  # rows without a complement are reported as such below
+    each = np.arange(poset.n)
+    # reversing[a]: m(b) <= m(a) for every b >= a that has a complement
+    reversing = ~(poset.leq & has[None, :] & ~poset.leq[m[None, :], m[:, None]]).any(axis=1)
+    clauses = zip(
+        (poset.meet[each, m] == poset.zero_index).tolist(),
+        (poset.join[each, m] == top).tolist(),
+        (comp[m] == each).tolist(),
+        reversing.tolist(),
+    )
+    names = poset.names
+    entries = [
+        ProbeEntry(names[a], True, names[c], *flags) if c >= 0
+        else ProbeEntry(names[a], False, None, None, None, None, None)
+        for a, c, flags in zip(each.tolist(), comp.tolist(), clauses)
+    ]
+    return ProbeReport(True, tuple(sorted(entries, key=lambda e: e.element)))
 
 
 @dataclass(frozen=True)
@@ -432,12 +460,69 @@ def _first_true(mask: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(k) for k in hits[0]) if len(hits) else None
 
 
-def lattice_report(poset: ProjectionPoset) -> LatticeReport:
-    """The cached meet/join tables, law scans, and the probe.
+def _graded_heights(leq: np.ndarray, covers: np.ndarray) -> Optional[np.ndarray]:
+    """h with h(bottom) = 0 and h(b) = h(a) + 1 on every cover a < b, or None.
 
-    Distributivity and modularity are scanned only when every pair has both
+    h(x) is the length of the longest chain below x, taken in order of
+    down-set size (a linear extension); it passes on every cover exactly
+    when all maximal chains between two elements have one length.
+    """
+    h = np.zeros(len(leq), dtype=np.intp)
+    for x in np.argsort(leq.sum(axis=0), kind="stable"):
+        below = covers[:, x]
+        if below.any():
+            h[x] = h[below].max() + 1
+    rise = h[None, :] - h[:, None]  # [a, b]: h(b) - h(a)
+    return h if (rise[covers] == 1).all() else None
+
+
+def _is_modular(leq, meet, join, covers) -> bool:
+    """Birkhoff: a finite lattice is modular iff it is graded and its height
+    is a valuation, h(x) + h(y) = h(x ^ y) + h(x v y)."""
+    h = _graded_heights(leq, covers)
+    return h is not None and bool((h[:, None] + h[None, :] == h[meet] + h[join]).all())
+
+
+def _is_distributive(leq, join, covers) -> bool:
+    """A finite lattice is distributive iff every join-irreducible a (one
+    lower cover) is join-prime: a <= x v y implies a <= x or a <= y."""
+    for a in np.flatnonzero(covers.sum(axis=0) == 1):
+        up = leq[a]
+        if (up[join] & ~(up[:, None] | up[None, :])).any():
+            return False
+    return True
+
+
+def _distributive_witness(meet, join) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) with a ^ (b v c) != (a ^ b) v (a ^ c)."""
+    for a in range(len(meet)):
+        hit = _first_true(meet[a][join] != join[meet[a][:, None], meet[a][None, :]])
+        if hit:
+            return (a, *hit)
+    return None
+
+
+def _modular_witness(leq, meet, join) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) with a <= c and a v (b ^ c) != (a v b) ^ c."""
+    for a in range(len(meet)):
+        hit = _first_true(leq[a][None, :] & (join[a][meet] != meet[join[a]]))
+        if hit:
+            return (a, *hit)
+    return None
+
+
+def _name_table(names: Sequence[str], t: np.ndarray) -> dict[tuple[str, str], Optional[str]]:
+    label = np.array([*names, None], dtype=object)  # index -1 (no bound) reads None
+    return dict(zip(itertools.product(names, names), label[t].ravel().tolist()))
+
+
+def lattice_report(poset: ProjectionPoset) -> LatticeReport:
+    """The cached meet/join tables, law certificates and witnesses, and the probe.
+
+    Distributivity and modularity are decided only when every pair has both
     a meet and a join; otherwise they are reported as not applicable (None).
-    Witnesses are the first failing triple in name order.
+    When a certificate fails, the triples are scanned in name order up to
+    the first failing one, which is the witness.
     """
     n = poset.n
     order = np.array(sorted(range(n), key=lambda k: poset.names[k]), dtype=int)
@@ -453,35 +538,25 @@ def lattice_report(poset: ProjectionPoset) -> LatticeReport:
     distributive = modular = None
     dist_wit = mod_wit = None
     if is_lattice:
-        distributive, modular = True, True
-        for a in range(n):
-            # [b, c]: a ^ (b v c) against (a ^ b) v (a ^ c), and for a <= c,
-            # a v (b ^ c) against (a v b) ^ c
-            if dist_wit is None:
-                hit = _first_true(meet[a][join] != join[meet[a][:, None], meet[a][None, :]])
-                if hit:
-                    distributive, dist_wit = False, (names[a],) + tuple(names[k] for k in hit)
-            if mod_wit is None:
-                hit = _first_true(leq[a][None, :] & (join[a][meet] != meet[join[a]]))
-                if hit:
-                    modular, mod_wit = False, (names[a],) + tuple(names[k] for k in hit)
-            if dist_wit and mod_wit:
-                break
-
-    def table(t):
-        return {
-            (names[a], names[b]): names[t[a, b]] if t[a, b] >= 0 else None
-            for a in range(n)
-            for b in range(n)
-        }
-
+        covers = poset.covers[np.ix_(order, order)]
+        modular = _is_modular(leq, meet, join, covers)
+        distributive = modular and _is_distributive(leq, join, covers)
+        if not distributive:
+            dist_wit = _distributive_witness(meet, join)
+            distributive = dist_wit is None
+        if not modular:
+            mod_wit = _modular_witness(leq, meet, join)
+            modular = mod_wit is None
+        dist_wit, mod_wit = (
+            tuple(names[k] for k in w) if w else None for w in (dist_wit, mod_wit)
+        )
     return LatticeReport(
         tuple(names),
         is_lattice,
         missing_meets,
         missing_joins,
-        table(meet),
-        table(join),
+        _name_table(names, meet),
+        _name_table(names, join),
         distributive,
         dist_wit,
         modular,
@@ -579,15 +654,9 @@ def ore_crossvalidate(fixtures: Iterable[tuple[str, Groupoid]]) -> OreReport:
 
 def hasse_edges(poset: ProjectionPoset) -> list[tuple[str, str]]:
     """Cover pairs (a, b) with a < b and nothing strictly between, name-sorted."""
-    strict = poset.leq & ~np.eye(poset.n, dtype=bool)
-    covers = strict & ~(strict @ strict)
-    edges = [
-        (poset.names[i], poset.names[j])
-        for i in range(poset.n)
-        for j in range(poset.n)
-        if covers[i, j]
-    ]
-    return sorted(edges)
+    names = np.array(poset.names, dtype=object)
+    below, above = np.nonzero(poset.covers)
+    return sorted(zip(names[below].tolist(), names[above].tolist()))
 
 
 def to_dot(poset: ProjectionPoset, title: str = "order") -> str:

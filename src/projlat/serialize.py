@@ -8,9 +8,13 @@ groupoid documents are re-validated on load, which makes loading a law check.
 """
 from __future__ import annotations
 
+import functools
+import io
 import json
+import operator
 from dataclasses import dataclass
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Optional, TextIO
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .backend import (
     rel_object,
     related_pairs,
 )
-from .errors import CompositionTypeError, ParseError, Report
+from .errors import SCALAR_TYPES, CompositionTypeError, ParseError, Report
 from .frobenius import AxiomReport, FrobeniusAlgebra
 from .groupoid import CopyablesReport, Groupoid, validate
 from .order import (
@@ -213,8 +217,75 @@ def detect_document(doc: dict) -> str:
     raise ParseError("unrecognized document shape")
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _key_text(key) -> str:
+    """A mapping key as json.dumps writes it: numbers, booleans and None as text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def dump_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
+    """Exactly json.dumps(doc, indent=2, sort_keys=True) + "\n", written to out
+    piece by piece, or returned as a string when out is None.
+
+    json.dumps runs its pure-Python encoder whenever indent is set. Here only
+    containers that nest others are walked in Python. A container of
+    strings (a row of a meet table, say) is joined in one C-level pass, each
+    distinct string quoted once; any other container of scalars takes one
+    pass of the C encoder with the separators of its depth.
+    """
+    if out is None:
+        buf = io.StringIO()
+        dump_json(doc, buf)
+        return buf.getvalue()
+    write = out.write
+    quote = functools.lru_cache(maxsize=None)(encode_basestring_ascii)
+    key = functools.lru_cache(maxsize=None)(lambda k: quote(k) + ": ")
+    one_line: dict[int, json.JSONEncoder] = {}
+
+    def emit(value, level: int) -> None:
+        is_dict = isinstance(value, dict)
+        if not (is_dict or isinstance(value, (list, tuple))):
+            write(quote(value) if isinstance(value, str) else json.dumps(value))
+            return
+        ends = "{}" if is_dict else "[]"
+        if not value:
+            write(ends)
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "," + pad
+        kinds = set(map(type, value.values() if is_dict else value))
+        if kinds == {str} and (not is_dict or set(map(type, value)) == {str}):
+            if is_dict:
+                keys = sorted(value)
+                quoted = map(operator.add, map(key, keys), map(quote, map(value.__getitem__, keys)))
+            else:
+                quoted = map(quote, value)
+            write(f"{ends[0]}{pad}{sep.join(quoted)}{pad[:-2]}{ends[1]}")
+        elif kinds <= SCALAR_TYPES:
+            if level not in one_line:
+                one_line[level] = json.JSONEncoder(
+                    sort_keys=True, check_circular=False, separators=(sep, ": ")
+                )
+            text = one_line[level].encode(value)
+            write(f"{ends[0]}{pad}{text[1:-1]}{pad[:-2]}{ends[1]}")
+        else:
+            write(ends[0])
+            lead = pad
+            for item in sorted(value.items()) if is_dict else value:
+                write(lead)
+                lead = sep
+                if is_dict:
+                    write(_key_text(item[0]) + ": ")
+                    item = item[1]
+                emit(item, level + 1)
+            write(pad[:-2] + ends[1])
+
+    emit(doc, 0)
+    write("\n")
+    return None
 
 
 def load_json(text: str) -> dict:

@@ -150,14 +150,18 @@ def bi_order_check(
         violations.append(Violation("zero-scalar", ("derived", "direct")))
     if not (fam_a and fam_b):
         return BiOrderReport(0, 0, 0, tuple(violations))
-    tensored = [tensor_points(ta, p, q) for p in fam_a for q in fam_b]
+    for side, family, alg in (("left", fam_a, ta.left), ("right", fam_b, ta.right)):
+        if not all(p.algebra.same_algebra(alg) for p in family):
+            raise ValueError(f"{side} point does not live on the {side} component")
     na, nb, d, backend = len(fam_a), len(fam_b), ta.algebra.carrier.size, ta.algebra.backend
     a_names = [p.name if p.name is not None else f"A{i}" for i, p in enumerate(fam_a)]
     b_names = [q.name if q.name is not None else f"B{j}" for j, q in enumerate(fam_b)]
     va, vb = point_vectors(ta.left, fam_a), point_vectors(ta.right, fam_b)
     pa, pb = products(ta.left, va, va), products(ta.right, vb, vb)
-    flat = point_vectors(ta.algebra, tensored)
-    vt = flat.reshape(na, nb, d)  # p_i (x) q_j
+    # p_i (x) q_j has coordinate va[i, k] vb[j, l] at the composite index k * d_b + l
+    dtype = np.result_type(ta.algebra.structure, va, vb)
+    vt = (va[:, None, :, None] * vb[None, :, None, :]).astype(dtype, copy=False).reshape(na, nb, d)
+    flat = vt.reshape(na * nb, d)
     # every table is indexed in scan order [i, i2, j, j2]
     pt = products(ta.algebra, flat, flat).reshape(na, nb, na, nb, d).transpose(0, 2, 1, 3, 4)
 

@@ -1,12 +1,14 @@
 """Loop-by-loop references for the groupoid law check, the copyables scan
 and the Next-Closure closure.
 
-associativity_violations walks every composable triple (f, g, h) in three
-nested loops over the document's morphisms and compares (f.g).h with
-f.(g.h) by name. copyable_masks tests one support bitmask at a time, product
-by product, with Python integers. PairClosure closes a set member by member,
-testing each product pair of the structure tensor. So they share neither the
-int composition table of groupoid._law_check, nor the uint64 mask arrays of
+law_violations is the name-keyed law check: it walks the compose list, the
+pairs of morphisms and each object's and morphism's candidates with dict
+lookups by name, and associativity_violations walks every composable triple
+(f, g, h) in three nested loops and compares (f.g).h with f.(g.h) by name.
+copyable_masks tests one support bitmask at a time, product by product, with
+Python integers. PairClosure closes a set member by member, testing each
+product pair of the structure tensor. So they share neither the int arrays
+of groupoid._law_check, nor the uint64 mask arrays of
 groupoid.enumerate_copyables, nor the packed support masks and byte tables
 of groupoid._Closure. They are slow and meant for small inputs.
 """
@@ -14,9 +16,112 @@ from __future__ import annotations
 
 import numpy as np
 
-from projlat import Violation, related_pairs
+from projlat import ParseError, Violation, related_pairs
 
 BRUTE_FORCE_LIMIT = 16
+
+
+def _parse(doc: dict) -> tuple[tuple, list[tuple[str, str, str]], dict]:
+    """(objects, morphisms as (name, dom, cod), {(f, g): h}); ParseError at
+    the first defect, in document order."""
+    if not isinstance(doc, dict):
+        raise ParseError("groupoid document must be a mapping")
+    for key in ("objects", "morphisms", "compose"):
+        if key not in doc:
+            raise ParseError(f"groupoid document missing field {key!r}")
+        if not isinstance(doc[key], (list, tuple)):
+            raise ParseError(f"groupoid document field {key!r} is not a list")
+    objects = tuple(str(x) for x in doc["objects"])
+    if len(set(objects)) != len(objects):
+        raise ParseError("duplicate object names")
+    morphisms = []
+    for entry in doc["morphisms"]:
+        try:
+            m = (str(entry["name"]), str(entry["dom"]), str(entry["cod"]))
+        except (TypeError, KeyError) as exc:
+            raise ParseError(f"malformed morphism entry {entry!r}") from exc
+        if m[1] not in objects or m[2] not in objects:
+            raise ParseError(f"morphism {m[0]!r} references unknown object")
+        morphisms.append(m)
+    names = {m[0] for m in morphisms}
+    if len(names) != len(morphisms):
+        raise ParseError("duplicate morphism names")
+    table = {}
+    for entry in doc["compose"]:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ParseError(f"compose entry {entry!r} is not a triple")
+        f, g, h = (str(x) for x in entry)
+        for nm in (f, g, h):
+            if nm not in names:
+                raise ParseError(f"compose entry references unknown morphism {nm!r}")
+        if (f, g) in table:
+            raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")
+        table[(f, g)] = h
+    return objects, morphisms, table
+
+
+def _declared(doc: dict, key: str):
+    value = doc.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ParseError(f"groupoid document field {key!r} is not a mapping")
+    return value
+
+
+def law_violations(doc: dict) -> list[Violation]:
+    """Every law violation of a groupoid document, by name: structure first
+    (then nothing else), then associativity, identities and inverses."""
+    objects, morphisms, table = _parse(doc)
+    types = {name: (dom, cod) for name, dom, cod in morphisms}
+    out = []
+    for (f, g), h in table.items():
+        if types[f][0] != types[g][1]:
+            out.append(Violation("composability", (f, g), "table entry for a non-composable pair"))
+        elif types[h] != (types[g][0], types[f][1]):
+            out.append(Violation("composition-typing", (f, g, h), "composite has wrong dom/cod"))
+    for f, fdom, _ in morphisms:
+        for g, _, gcod in morphisms:
+            if fdom == gcod and (f, g) not in table:
+                out.append(Violation("totality", (f, g), "composable pair missing from table"))
+    if out:
+        return out
+    out += associativity_violations(doc)
+    declared = _declared(doc, "identities")
+    identities = {}
+    for x in objects:
+        if declared is not None:
+            if x not in declared:
+                raise ParseError(f"declared identities missing object {x!r}")
+            candidates = [str(declared[x])]
+            if candidates[0] not in types:
+                raise ParseError(f"declared identity {candidates[0]!r} unknown")
+        else:
+            candidates = [name for name, dom, cod in morphisms if dom == cod == x]
+        for e in candidates:
+            if types[e] == (x, x) and all(
+                table.get((m, e)) == m for m, dom, _ in morphisms if dom == x
+            ) and all(table.get((e, m)) == m for m, _, cod in morphisms if cod == x):
+                identities[x] = e
+                break
+        else:
+            out.append(Violation("identity", (x,), "object has no two-sided identity"))
+    declared = _declared(doc, "inverses")
+    for m, dom, cod in morphisms:
+        if dom not in identities or cod not in identities:
+            continue
+        if declared is not None:
+            if m not in declared:
+                raise ParseError(f"declared inverses missing morphism {m!r}")
+            candidates = [str(declared[m])]
+            if candidates[0] not in types:
+                raise ParseError(f"declared inverse {candidates[0]!r} unknown")
+        else:
+            candidates = [g for g, gdom, gcod in morphisms if gdom == cod and gcod == dom]
+        if not any(
+            table.get((g, m)) == identities[dom] and table.get((m, g)) == identities[cod]
+            for g in candidates
+        ):
+            out.append(Violation("inverse", (m,), "morphism has no two-sided inverse"))
+    return out
 
 
 def associativity_violations(doc: dict) -> list[Violation]:

@@ -34,7 +34,7 @@ from projlat import (
     to_algebra,
     validate,
 )
-from projlat import DEFAULT_TOL, FrobeniusAlgebra, Morphism, groupoid
+from projlat import DEFAULT_TOL, FrobeniusAlgebra, Morphism, compose, equal, groupoid, identity
 from projlat.frobenius import mask_points, projection_mask, zero_one_projections
 
 
@@ -358,6 +358,35 @@ def test_copyables_match_per_mask_reference(name):
         assert any(m >> 63 for m in masks)  # the R block sits on bits 32..63
 
 
+def _speciality(alg) -> bool:
+    """m . m^dagger = id, composed on the backend."""
+    return equal(compose(alg.mult, alg.comult), identity(alg.carrier))
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL) + sorted(_LARGE))
+def test_groupoid_algebras_are_special_and_copyables_skip_the_scan(name, monkeypatch):
+    alg = to_algebra(_SMALL.get(name) or _LARGE[name])
+    assert groupoid._is_special(alg) and _speciality(alg)
+    fast = [p.name for p in enumerate_copyables(alg)]
+    if alg.carrier.size <= groupoid.BRUTE_FORCE_LIMIT:  # the mask scan is the reference
+        monkeypatch.setattr(groupoid, "_is_special", lambda alg: False)
+        assert fast == [p.name for p in enumerate_copyables(alg)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_speciality_read_off_m_matches_composition(seed):
+    """Perturbed and random algebras are rarely special; they keep the mask
+    scan, which must agree with the per-mask reference."""
+    verdicts = set()
+    for alg in _perturbed_algebras(seed):
+        special = groupoid._is_special(alg)
+        assert special == _speciality(alg)
+        verdicts.add(special)
+        masks = groupoid_oracle.copyable_masks(alg)
+        assert [p.name for p in enumerate_copyables(alg)] == [p.name for p in mask_points(alg, masks)]
+    assert False in verdicts
+
+
 def _mutations(doc: dict, seed: int, count: int = 3) -> dict:
     """doc with `count` composites swapped for another morphism of the same
     dom and cod, so typing and totality still hold."""
@@ -490,3 +519,92 @@ def test_exact_projection_test_matches_float_products(seed):
             m for m in closed if want[m]
         ]
     assert verdicts == {True, False}  # some closed sets are not projections
+
+
+# -- the int law check against the name-keyed reference --------------------
+
+
+def _corrupted(doc: dict, rng: random.Random) -> dict:
+    """doc with one to three random defects: a wrong composite, a missing,
+    extra, repeated, unknown or short entry, a retyped morphism, or a
+    changed, missing or undeclared identity or inverse."""
+    doc = {
+        **doc,
+        "morphisms": [dict(m) for m in doc["morphisms"]],
+        "compose": [list(entry) for entry in doc["compose"]],
+    }
+    names = [m["name"] for m in doc["morphisms"]]
+    compose = doc["compose"]
+    rng.shuffle(compose)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["composite"] * 4 + ["drop"] * 2 + [
+            "extra", "retype", "identity", "inverse", "undeclare", "repeat", "unknown", "short",
+        ])
+        entry = rng.choice([e for e in compose if len(e) == 3] or [None])
+        if kind == "composite" and entry:
+            entry[2] = rng.choice(names)
+        elif kind == "drop" and entry:
+            compose.remove(entry)
+        elif kind == "extra":
+            taken = {tuple(e[:2]) for e in compose}
+            free = [(f, g) for f in names for g in names if (f, g) not in taken]
+            if free:
+                compose.append([*rng.choice(free), rng.choice(names)])
+        elif kind == "retype":
+            m = rng.choice(doc["morphisms"])
+            m[rng.choice(["dom", "cod"])] = rng.choice(doc["objects"])
+        elif kind in ("identity", "inverse"):
+            field = "identities" if kind == "identity" else "inverses"
+            declared = dict(doc.get(field) or {})
+            if declared:
+                key = rng.choice(sorted(declared))
+                choice = rng.random()
+                if choice < 0.15:
+                    del declared[key]
+                else:
+                    declared[key] = "nowhere" if choice < 0.3 else rng.choice(names)
+                doc[field] = declared
+        elif kind == "undeclare":
+            doc.pop(rng.choice(["identities", "inverses"]), None)
+        elif kind == "repeat" and entry:
+            compose.append([entry[0], entry[1], rng.choice(names)])
+        elif kind == "unknown" and entry:
+            entry[rng.randrange(3)] = "nowhere"
+        elif kind == "short" and entry:
+            compose[compose.index(entry)] = entry[:2]
+    return doc
+
+
+def _law_outcome(check, doc):
+    try:
+        return check(doc)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+def test_law_check_matches_name_keyed_reference():
+    fixtures = ["cyclic1", "cyclic3", "cyclic6", "klein4", "symmetric3", "quaternion8",
+                "dihedral4", "interval", "two-intervals", "interval-x-cyclic2",
+                "interval-x-interval", "cyclic8-plus-cyclic8"]
+    seen = set()
+    for name in fixtures:
+        base = _SMALL[name].to_doc()
+        for seed in range(30):
+            rng = random.Random(f"laws-{name}-{seed}")
+            doc = _corrupted(base, rng)
+            if seed % 2:
+                doc.pop("identities", None)
+                doc.pop("inverses", None)
+            want = _law_outcome(groupoid_oracle.law_violations, doc)
+            assert _law_outcome(groupoid_violations, doc) == want, (name, seed)
+            seen.update([want[0]] if isinstance(want, tuple) else {v.law for v in want} or {"none"})
+    assert seen >= {"ParseError", "composability", "composition-typing", "totality",
+                    "associativity", "identity", "inverse", "none"}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL) + sorted(_LARGE))
+def test_law_check_passes_every_fixture_like_the_reference(name):
+    doc = (_SMALL.get(name) or _LARGE[name]).to_doc()
+    assert groupoid_violations(doc) == groupoid_oracle.law_violations(doc) == []
+    undeclared = {k: v for k, v in doc.items() if k not in ("identities", "inverses")}
+    assert validate(undeclared).inverses == validate(doc).inverses

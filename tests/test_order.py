@@ -1,11 +1,13 @@
 """Projection orders: construction, laws, lattices, probes, comparisons."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
-from lattice_oracle import forbidden_sublattices
+from lattice_oracle import bound_table, forbidden_sublattices, law_scans
+from projlat import cli, order
 from projlat import (
     LawViolation,
     ProjectionPoset,
@@ -499,3 +501,151 @@ def test_vectorised_law_scans_match_loops_on_bit_flips(name):
         assert got == ref_poset_violations(leq, poset.names)
         got = _orthogonality_violations(leq, orth, poset.zero_index, poset.names)
         assert got == ref_orthogonality_violations(leq, orth, poset.zero_index, poset.names)
+
+
+# -- down-set lookup and law certificates against the oracles ---------------
+
+
+def _subset_order(masks) -> np.ndarray:
+    m = np.array(masks, dtype=np.int64)
+    return (m[:, None] & ~m[None, :]) == 0
+
+
+def _intersection_closed(rng, k: int, count: int) -> list[int]:
+    """A random family of subsets of range(k) with the full set, closed under
+    intersection: a lattice under inclusion (join = closure of the union)."""
+    family = {(1 << k) - 1, *(int(x) for x in rng.integers(0, 1 << k, size=count))}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            return sorted(family)
+        family |= more
+
+
+def _chain_product(lengths) -> np.ndarray:
+    points = list(itertools.product(*(range(n) for n in lengths)))
+    return np.array([[all(x <= y for x, y in zip(p, q)) for q in points] for p in points])
+
+
+def _subspaces_gf2(k: int) -> np.ndarray:
+    """The subspaces of GF(2)^k under inclusion, each a bitmask over the 2^k
+    vectors closed under xor: modular, not distributive."""
+    vectors = range(1 << k)
+    subs = [m for m in range(1, 1 << (1 << k), 2)  # odd: the zero vector is in every subspace
+            if all(m >> (a ^ b) & 1 for a in vectors if m >> a & 1 for b in vectors if m >> b & 1)]
+    return _subset_order(subs)
+
+
+def _partitions(n: int) -> np.ndarray:
+    """The partition lattice Pi_n under refinement: graded, not modular for n >= 4."""
+    def blocks(rest):
+        if not rest:
+            yield []
+            return
+        first, *others = rest
+        for part in blocks(others):
+            yield [[first], *part]
+            for i in range(len(part)):
+                yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+    parts = [frozenset(frozenset(b) for b in p) for p in blocks(list(range(n)))]
+    return np.array([[all(any(b <= c for c in q) for b in p) for q in parts] for p in parts])
+
+
+def _random_order(rng, m: int, density: float) -> np.ndarray:
+    """The transitive closure of a random DAG on m elements, plus a bottom."""
+    rel = np.triu(rng.random((m, m)) < density, 1) | np.eye(m, dtype=bool)
+    while True:
+        wider = (rel.astype(np.int64) @ rel.astype(np.int64)) > 0
+        if (wider == rel).all():
+            break
+        rel = wider
+    leq = np.ones((m + 1, m + 1), dtype=bool)
+    leq[1:] = False
+    leq[1:, 1:] = rel
+    return leq
+
+
+def _as_poset(leq: np.ndarray, rng) -> ProjectionPoset:
+    """leq under a random relabelling, with names out of index order; its
+    bottom is the zero and orthogonal to everything."""
+    n = len(leq)
+    perm = rng.permutation(n)
+    leq = leq[np.ix_(perm, perm)]
+    bottom = int(np.flatnonzero(leq.all(axis=1))[0])
+    orth = np.zeros((n, n), dtype=bool)
+    orth[bottom], orth[:, bottom] = True, True
+    names = [f"x{k:03d}" for k in rng.permutation(n)]
+    return ProjectionPoset.from_relations([None] * n, names, leq, orth, bottom)
+
+
+M3 = _subset_order([0b000, 0b011, 0b101, 0b110, 0b111])
+N5 = _subset_order([0b000, 0b001, 0b011, 0b100, 0b111])
+
+
+@functools.cache
+def random_posets() -> dict:
+    rng = np.random.default_rng(17)
+    orders = {
+        "m3": M3, "n5": N5, "chain1": np.ones((1, 1), dtype=bool),
+        "chain-2x3x2": _chain_product([2, 3, 2]), "chain-4x4": _chain_product([4, 4]),
+        "boolean5": _subset_order(range(32)), "subspaces-gf2-3": _subspaces_gf2(3),
+        "partitions4": _partitions(4),
+    }
+    for k in range(24):
+        orders[f"closure{k}"] = _subset_order(_intersection_closed(rng, int(rng.integers(3, 7)), int(rng.integers(2, 9))))
+    for k in range(12):
+        orders[f"dag{k}"] = _random_order(rng, int(rng.integers(3, 14)), float(rng.uniform(0.1, 0.5)))
+    return {name: _as_poset(leq, rng) for name, leq in orders.items()}
+
+
+@functools.cache
+def builtin_posets() -> dict:
+    """The mult order of every builtin family of at most 64 projections, and
+    the inclusion order of every builtin groupoid."""
+    out = {}
+    for name in ["klein4", "interval", "symmetric3", "quaternion8", "z2xz4", "two-intervals",
+                 *(f"cyclic{n}" for n in range(1, 17)), *(f"dihedral{n}" for n in range(3, 13)),
+                 *(f"pants{n}" for n in range(1, 7)), *(f"basis{n}" for n in range(1, 7))]:
+        g, alg = cli._resolved(cli._builtin(name))
+        if g is not None:
+            out[f"{name}-inclusion"] = inclusion_poset(alg, enumerate_subgroupoids(g), TOL)
+        family = cli._family(g, alg, TOL, 10**6)
+        if len(family) <= 64:
+            out[f"{name}-mult"] = build_poset(alg, family, TOL)
+    return out
+
+
+def _all_posets() -> dict:
+    return {**random_posets(), **builtin_posets(), **oracle_posets()}
+
+
+@pytest.mark.parametrize("name", sorted(_all_posets()))
+def test_lookup_tables_and_certificates_match_oracles(name):
+    poset = _all_posets()[name]
+    assert np.array_equal(poset.meet, bound_table(np.ascontiguousarray(poset.leq.T)))
+    assert np.array_equal(poset.join, bound_table(poset.leq))
+    rep = lattice_report(poset)
+    want = law_scans(poset)
+    assert (rep.distributive, rep.distributive_witness, rep.modular, rep.modular_witness) == want
+    assert rep.is_lattice == (want[0] is not None)
+    if rep.is_lattice:  # each certificate on its own, without the witness scan behind it
+        assert order._is_modular(poset.leq, poset.meet, poset.join, poset.covers) == want[2]
+        assert order._is_distributive(poset.leq, poset.join, poset.covers) == want[0]
+    assert set(hasse_edges(poset)) == {
+        (poset.names[a], poset.names[b])
+        for a in range(poset.n) for b in range(poset.n)
+        if a != b and poset.leq[a, b]
+        and not any(poset.leq[a, c] and poset.leq[c, b] for c in range(poset.n) if c not in (a, b))
+    }
+
+
+def test_oracle_posets_cover_every_kind_of_lattice():
+    kinds = set()
+    for poset in random_posets().values():
+        dist, _, mod, _ = law_scans(poset)
+        graded = order._graded_heights(poset.leq, poset.covers) is not None
+        kinds.add("not a lattice" if dist is None else
+                  "distributive" if dist else "modular only" if mod else
+                  "graded, not modular" if graded else "ungraded")
+    assert kinds == {"not a lattice", "distributive", "modular only", "graded, not modular",
+                     "ungraded"}

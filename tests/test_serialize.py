@@ -1,7 +1,9 @@
 """Document round-trips for every value and report kind."""
 
 import functools
+import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -186,3 +188,68 @@ def test_dump_json_is_deterministic():
     doc = check_axioms(to_algebra(klein4())).to_dict()
     assert dump_json(doc) == dump_json(json.loads(json.dumps(doc)))
     assert dump_json(doc).endswith("\n")
+
+
+# -- the row-wise writer against json.dumps ----------------------------------
+
+
+def _reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_writer_matches_json_dumps_on_every_report_kind():
+    reports = all_reports() + [lattice_report(build_poset(basis_algebra(3), zero_one_points(basis_algebra(3)), TOL))]
+    for rep in reports:
+        doc = rep.to_dict()
+        assert dump_json(doc) == _reference(doc), doc["kind"]
+    envelope = {"kind": "cli_report", "command": "lattice", "data": {r.kind: r.to_dict() for r in reports}}
+    assert dump_json(envelope) == _reference(envelope)
+
+
+_SPECIAL = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+    2**63, -(2**64) - 1, 10**40, True, False, None, 0, -1, "", "é中", "\U0001f600",
+    "tab\tnew\nline\x00\x1f\x7f", 'quote" back\\slash', "{a,b}", "plain",
+]
+
+
+def _random_value(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.35:
+        return rng.choice(_SPECIAL + [rng.uniform(-1e6, 1e6), rng.randint(-(10**30), 10**30)])
+    keys = [rng.choice(["a", "b", "zz", "é", "", "k1", "K", "{x}", "\n"]) for _ in range(rng.randint(0, 5))]
+    if roll < 0.5:  # a row of names, as in a meet table
+        names = [rng.choice(_SPECIAL[16:]) for _ in range(rng.randint(0, 6))]
+        return dict(zip(keys, names)) if rng.random() < 0.5 else names
+    if roll < 0.75:
+        return {k: _random_value(rng, depth + 1) for k in keys}
+    return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 5))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_writer_matches_json_dumps_on_random_documents(seed):
+    rng = random.Random(seed)
+    doc = {"root": _random_value(rng, 0), "rows": {k: _random_value(rng, 1) for k in "abc"}}
+    want = _reference(doc)
+    assert dump_json(doc) == want
+    out = io.StringIO()
+    assert dump_json(doc, out) is None
+    assert out.getvalue() == want
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, [], "text", 3, None, {"a": {}}, [[]], [[], {}], {"x": [None]}, {"t": (1, (2, "b"))},
+     {1: "int key", 2.5: "float key"}, {True: 1}, {None: [1]}, {"é": {"\x01": "\x02"}}],
+    ids=repr,
+)
+def test_writer_matches_json_dumps_on_edge_documents(doc):
+    assert dump_json(doc) == _reference(doc)
+
+
+def test_writer_rejects_what_json_dumps_rejects():
+    for doc in ({"a": 1, 2: "b", "c": [1]}, {"a": {1, 2}}, {"a": [object()]}):
+        with pytest.raises(TypeError):
+            _reference(doc)
+        with pytest.raises(TypeError):
+            dump_json(doc)
