@@ -35,6 +35,7 @@ import numpy as np
 from .backend import (
     DEFAULT_TOL,
     REL,
+    Morphism,
     Tolerance,
     rel_morphism,
     rel_object,
@@ -132,7 +133,8 @@ def _compose_table(entries: list, names: set) -> dict[tuple[str, str], str]:
     """The compose list as {(f, g): h}; ParseError for its first entry that is
     not a triple, names an unknown morphism or repeats a pair."""
     if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {3}:
-        columns = [list(map(str, col)) for col in zip(*entries)] if entries else [[]] * 3
+        columns = list(zip(*entries)) if entries else [()] * 3
+        columns = [col if set(map(type, col)) <= {str} else tuple(map(str, col)) for col in columns]
         table = dict(zip(zip(columns[0], columns[1]), columns[2]))
         if len(table) == len(entries) and all(names.issuperset(col) for col in columns):
             return table
@@ -197,6 +199,12 @@ def _declared_index(declared: dict, field: str, key: str, index: dict[str, int])
     return index[name]
 
 
+def _table_indices(table: dict, index: dict[str, int]) -> list[np.ndarray]:
+    """The f, g and h indices of the entries (f, g) -> h of a composition table."""
+    columns = (map(itemgetter(0), table), map(itemgetter(1), table), table.values())
+    return [np.array(list(map(index.__getitem__, col)), dtype=np.intp) for col in columns]
+
+
 def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
     """One parse and one search: the violations, and the groupoid when there are none.
 
@@ -212,10 +220,7 @@ def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
     dom = np.array([where[m.dom] for m in morphisms], dtype=np.intp)
     cod = np.array([where[m.cod] for m in morphisms], dtype=np.intp)
     pairs = list(table)
-    f, g, h = (
-        np.array(list(map(index.__getitem__, col)), dtype=np.intp)
-        for col in (map(itemgetter(0), pairs), map(itemgetter(1), pairs), table.values())
-    )
+    f, g, h = _table_indices(table, index)
     loose = dom[f] != cod[g]
     mistyped = ~loose & ((dom[h] != dom[g]) | (cod[h] != cod[f]))
     violations: list[Violation] = []
@@ -227,7 +232,7 @@ def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
             violations.append(
                 Violation("composition-typing", (*fg, table[fg]), "composite has wrong dom/cod")
             )
-    comp = np.full((n, n), -1, dtype=np.intp)  # comp[f, g] = f after g, -1 where it does not compose
+    comp = np.full((n, n), -1, dtype=np.min_scalar_type(-n * n - 1))  # f after g, -1 where none
     comp[f, g] = h
     missing = (dom[:, None] == cod[None, :]) & (comp < 0)
     violations += [
@@ -240,7 +245,7 @@ def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
     rows = max(1, _BLOCK_ENTRIES // max(1, n * n))
     flat = comp.ravel()
     for start in range(0, n, rows):
-        fs = np.arange(start, min(n, start + rows))
+        fs = np.arange(start, min(n, start + rows), dtype=comp.dtype)
         lhs = comp.take(comp[fs], axis=0)  # (f.g).h; entries read through a -1 are masked out below
         rhs = flat.take(fs[:, None, None] * n + comp[None])  # f.(g.h)
         bad = (comp[fs] >= 0)[:, :, None] & (comp >= 0)[None] & (lhs != rhs)
@@ -486,14 +491,13 @@ def to_algebra(g: Groupoid) -> FrobeniusAlgebra:
     """The groupoid algebra on rel; carrier labels are the morphism names."""
     n = len(g.morphisms)
     carrier = rel_object(n, g.morphism_names() if n else None)
-    mult_pairs = {
-        (g.index[f] * n + g.index[gg], g.index[h])
-        for (f, gg), h in g.compose_table.items()
-    }
+    f, gg, h = _table_indices(g.compose_table, g.index)
+    mult = np.zeros((n, n * n), dtype=bool)
+    mult[h, f * n + gg] = True  # e_f e_g = e_h; the pair (f, g) sits at f * n + g
     unit_pairs = {(0, g.index[e]) for e in g.identities.values()}
     return FrobeniusAlgebra(
         carrier,
-        rel_morphism(tensor_objects(carrier, carrier), carrier, mult_pairs),
+        Morphism(tensor_objects(carrier, carrier), carrier, mult),
         rel_morphism(unit_object(REL), carrier, unit_pairs),
     )
 
