@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import functools
 import typing
-from collections import Counter
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from typing import Any, ClassVar, Optional
 
 
@@ -63,9 +61,6 @@ def _field_types(cls) -> dict[str, Any]:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
-SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))  # JSON scalars, encoded as themselves
-
-
 def _encode(value):
     if value is None or isinstance(value, (str, int, float)):
         return value
@@ -75,16 +70,9 @@ def _encode(value):
         return [_encode(x) for x in value]
     if isinstance(value, dict):
         if value and isinstance(next(iter(value)), tuple):
-            keys = sorted(value)
-            cells = [*map(value.__getitem__, keys)]
-            if not set(map(type, cells)) <= SCALAR_TYPES:
-                cells = [*map(_encode, cells)]
             rows: dict[str, dict] = {}
-            start = 0
-            for a, count in Counter(map(itemgetter(0), keys)).items():  # runs of a, in order
-                stop = start + count
-                rows[a] = dict(zip(map(itemgetter(1), keys[start:stop]), cells[start:stop]))
-                start = stop
+            for (a, b), m in sorted(value.items()):
+                rows.setdefault(a, {})[b] = _encode(m)
             return rows
         return {k: _encode(v) for k, v in value.items()}
     return value

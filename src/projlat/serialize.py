@@ -30,7 +30,7 @@ from .backend import (
     rel_object,
     related_pairs,
 )
-from .errors import SCALAR_TYPES, CompositionTypeError, ParseError, Report
+from .errors import CompositionTypeError, ParseError, Report
 from .frobenius import AxiomReport, FrobeniusAlgebra
 from .groupoid import CopyablesReport, Groupoid, validate
 from .order import (
@@ -217,6 +217,9 @@ def detect_document(doc: dict) -> str:
     raise ParseError("unrecognized document shape")
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _key_text(key) -> str:
     """A mapping key as json.dumps writes it: numbers, booleans and None as text."""
     if isinstance(key, str):
@@ -264,7 +267,7 @@ def dump_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
             else:
                 quoted = map(quote, value)
             write(f"{ends[0]}{pad}{sep.join(quoted)}{pad[:-2]}{ends[1]}")
-        elif kinds <= SCALAR_TYPES:
+        elif kinds <= _SCALARS:
             if level not in one_line:
                 one_line[level] = json.JSONEncoder(
                     sort_keys=True, check_circular=False, separators=(sep, ": ")
