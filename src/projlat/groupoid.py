@@ -129,29 +129,6 @@ class Groupoid:
 # -- document validation ----------------------------------------------------
 
 
-def _compose_table(entries: list, names: set) -> dict[tuple[str, str], str]:
-    """The compose list as {(f, g): h}; ParseError for its first entry that is
-    not a triple, names an unknown morphism or repeats a pair."""
-    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {3}:
-        columns = list(zip(*entries)) if entries else [()] * 3
-        columns = [col if set(map(type, col)) <= {str} else tuple(map(str, col)) for col in columns]
-        table = dict(zip(zip(columns[0], columns[1]), columns[2]))
-        if len(table) == len(entries) and all(names.issuperset(col) for col in columns):
-            return table
-    table = {}  # something is wrong: find the first bad entry, in list order
-    for entry in entries:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ParseError(f"compose entry {entry!r} is not a triple")
-        f, g, h = (str(x) for x in entry)
-        for nm in (f, g, h):
-            if nm not in names:
-                raise ParseError(f"compose entry references unknown morphism {nm!r}")
-        if (f, g) in table:
-            raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")
-        table[(f, g)] = h
-    return table
-
-
 def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]:
     if not isinstance(doc, dict):
         raise ParseError("groupoid document must be a mapping")
@@ -175,7 +152,18 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
     names = {m.name for m in morphisms}
     if len(names) != len(morphisms):
         raise ParseError("duplicate morphism names")
-    return objects, tuple(morphisms), _compose_table(doc["compose"], names)
+    table = {}
+    for entry in doc["compose"]:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ParseError(f"compose entry {entry!r} is not a triple")
+        f, g, h = (str(x) for x in entry)
+        for nm in (f, g, h):
+            if nm not in names:
+                raise ParseError(f"compose entry references unknown morphism {nm!r}")
+        if (f, g) in table:
+            raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")
+        table[(f, g)] = h
+    return objects, tuple(morphisms), table
 
 
 def _declared(doc: dict, key: str) -> Optional[dict]:

@@ -483,14 +483,12 @@ def _is_modular(leq, meet, join, covers) -> bool:
     return h is not None and bool((h[:, None] + h[None, :] == h[meet] + h[join]).all())
 
 
-def _is_distributive(leq, join, covers) -> bool:
+def _is_distributive(leq, covers) -> bool:
     """A finite lattice is distributive iff every join-irreducible a (one
-    lower cover) is join-prime: a <= x v y implies a <= x or a <= y."""
-    for a in np.flatnonzero(covers.sum(axis=0) == 1):
-        up = leq[a]
-        if (up[join] & ~(up[:, None] | up[None, :])).any():
-            return False
-    return True
+    lower cover) is join-prime: a <= x v y implies a <= x or a <= y. That
+    holds exactly when {x : not a <= x} is a down-set with a greatest element."""
+    irreducible = covers.sum(axis=0) == 1
+    return bool((_greatest(~leq[irreducible], leq) >= 0).all())
 
 
 def _distributive_witness(meet, join) -> Optional[tuple[int, int, int]]:
@@ -540,7 +538,7 @@ def lattice_report(poset: ProjectionPoset) -> LatticeReport:
     if is_lattice:
         covers = poset.covers[np.ix_(order, order)]
         modular = _is_modular(leq, meet, join, covers)
-        distributive = modular and _is_distributive(leq, join, covers)
+        distributive = modular and _is_distributive(leq, covers)
         if not distributive:
             dist_wit = _distributive_witness(meet, join)
             distributive = dist_wit is None

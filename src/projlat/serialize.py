@@ -8,10 +8,8 @@ groupoid documents are re-validated on load, which makes loading a law check.
 """
 from __future__ import annotations
 
-import functools
 import io
 import json
-import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, TextIO
@@ -234,24 +232,21 @@ def dump_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     piece by piece, or returned as a string when out is None.
 
     json.dumps runs its pure-Python encoder whenever indent is set. Here only
-    containers that nest others are walked in Python. A container of
-    strings (a row of a meet table, say) is joined in one C-level pass, each
-    distinct string quoted once; any other container of scalars takes one
-    pass of the C encoder with the separators of its depth.
+    containers that nest others are walked in Python; a container of scalars
+    (a row of a meet table, say) takes one pass of the C encoder with the
+    separators of its depth.
     """
     if out is None:
         buf = io.StringIO()
         dump_json(doc, buf)
         return buf.getvalue()
     write = out.write
-    quote = functools.lru_cache(maxsize=None)(encode_basestring_ascii)
-    key = functools.lru_cache(maxsize=None)(lambda k: quote(k) + ": ")
     one_line: dict[int, json.JSONEncoder] = {}
 
     def emit(value, level: int) -> None:
         is_dict = isinstance(value, dict)
         if not (is_dict or isinstance(value, (list, tuple))):
-            write(quote(value) if isinstance(value, str) else json.dumps(value))
+            write(encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value))
             return
         ends = "{}" if is_dict else "[]"
         if not value:
@@ -259,15 +254,7 @@ def dump_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
             return
         pad = "\n" + "  " * (level + 1)
         sep = "," + pad
-        kinds = set(map(type, value.values() if is_dict else value))
-        if kinds == {str} and (not is_dict or set(map(type, value)) == {str}):
-            if is_dict:
-                keys = sorted(value)
-                quoted = map(operator.add, map(key, keys), map(quote, map(value.__getitem__, keys)))
-            else:
-                quoted = map(quote, value)
-            write(f"{ends[0]}{pad}{sep.join(quoted)}{pad[:-2]}{ends[1]}")
-        elif kinds <= _SCALARS:
+        if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
             if level not in one_line:
                 one_line[level] = json.JSONEncoder(
                     sort_keys=True, check_circular=False, separators=(sep, ": ")

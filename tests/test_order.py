@@ -630,7 +630,7 @@ def test_lookup_tables_and_certificates_match_oracles(name):
     assert rep.is_lattice == (want[0] is not None)
     if rep.is_lattice:  # each certificate on its own, without the witness scan behind it
         assert order._is_modular(poset.leq, poset.meet, poset.join, poset.covers) == want[2]
-        assert order._is_distributive(poset.leq, poset.join, poset.covers) == want[0]
+        assert order._is_distributive(poset.leq, poset.covers) == want[0]
     assert set(hasse_edges(poset)) == {
         (poset.names[a], poset.names[b])
         for a in range(poset.n) for b in range(poset.n)
