@@ -9,6 +9,10 @@ The digests include floating-point residuals printed to 6 significant
 digits (text) or in full (structured); they were taken with numpy 2.4 on
 x86-64. To refresh after an intended output change, print
 hashlib.sha256(out.encode()).hexdigest() for each case below.
+
+ARGPARSE_OWNED pins, with COLUMNS=80, the help texts, usage errors and
+argparse-only spellings (abbreviations, --opt=value) by the digests of
+stdout and stderr and the exit code; they were taken with Python 3.11.
 """
 
 import hashlib
@@ -205,3 +209,89 @@ def test_cli_output_matches_golden_digest(command, fmt, capsys):
     assert got_code == code
     want = text_digest if fmt == "text" else structured_digest
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# argv (split on spaces) -> (exit code, stdout digest, stderr digest)
+ARGPARSE_OWNED = {
+    "-h": (
+        0,
+        "fa6e266f81173e57ad7bc35f6d519c1819ca9d34a7fcb8184d98f466aeff42f1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "validate -h": (
+        0,
+        "37d6a1d7b6c8776dbbf78884bfa967158833287215eeea1bed935d784c0f8852",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "projections -h": (
+        0,
+        "2c114f562c47d17bea08167986c98a924791762924244ed005cb59b380e07df2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "lattice -h": (
+        0,
+        "8560744227df34d7d521029db491bfe262c1276186d15d2e6405c7e7cce9531b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "copyables -h": (
+        0,
+        "8655c6501993fd2a363f17986bd8f2bb7579d3610fe5534380f045d74c84d52b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "tensor -h": (
+        0,
+        "b1b6c8295aa02e0ace26045a7c4674ffbf06c25f6fcf588344b42351fe91b7e9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "counterexamples -h": (
+        0,
+        "b58417ef44ae38dd033173fe3fc08d3429a62ed717f20a09735966ba65bb1e04",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2161912c15fb50cee86128dc59ea0b09596a5b05ee5a3d28ec8f56a1ac55b28e",
+    ),
+    "nope": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4522535dd574b75142b33c0f3a9fec362de35786219beb8082cdfb461ef736e0",
+    ),
+    "lattice klein4": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4ab06a318eb03c4f44cd482be77a3bc46d7a90770979548d5c64e12141767304",
+    ),
+    "validate klein4 --format xml": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "dcfb5482455aeeef6982b0950164740defafb3c7a13467349248e64fc61af4ce",
+    ),
+    "validate klein4 --form structured": (
+        0,
+        "430ccf0ac742cda954e930242304a016915de61d02f2fcf93966b8fee38fe38e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "projections pants3 --seed=3": (
+        0,
+        "5c0c0c72f2ed22797f12da69e6b185fd128d50d2cf22ca88b3a2e2625ff95838",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "counterexamples nope": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2fbf6e7e0e61f6d8d247754bb26548095f3730e725a49e41ee12cdfd291a71f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGPARSE_OWNED))
+def test_argparse_owned_output_matches_golden_digest(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out_digest, err_digest = ARGPARSE_OWNED[command]
+    got_code = main(command.split())
+    out, err = capsys.readouterr()
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
