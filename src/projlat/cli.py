@@ -24,10 +24,10 @@ Exit codes: 0 when every law and claim checked out, 1 when a law or claim
 failed (resource caps included), 2 for usage and parse errors.
 """
 
-import argparse
 import os
 import re
 import sys
+import types
 
 import numpy as np
 
@@ -261,7 +261,7 @@ def _require_text_or_structured(args) -> None:
 
 def _family(g, alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
     if g is not None:
-        return subgroupoid_points(alg, enumerate_subgroupoids(g, max_closed=max_enum))
+        return subgroupoid_points(alg, enumerate_subgroupoids(g, alg, max_closed=max_enum))
     if closure_applies(alg, tol):
         return mask_points(alg, enumerate_projections(alg, max_closed=max_enum, tol=tol))
     return mask_points(alg, zero_one_projections(alg, tol, max_enum))
@@ -356,7 +356,7 @@ def cmd_lattice(args) -> int:
     if args.order == "inclusion":
         if g is None:
             raise ParseError("the inclusion order needs a groupoid input")
-        subs = enumerate_subgroupoids(g, max_closed=args.max_enum)
+        subs = enumerate_subgroupoids(g, alg, max_closed=args.max_enum)
         poset = inclusion_poset(alg, subs, tol)
     else:
         poset = build_poset(alg, _family(g, alg, tol, args.max_enum), tol)
@@ -430,7 +430,7 @@ def _bundle_klein4(tol: Tolerance) -> tuple[dict, bool]:
     g = klein4()
     alg = to_algebra(g)
     commutative = is_commutative(alg, tol)
-    subs = enumerate_subgroupoids(g)
+    subs = enumerate_subgroupoids(g, alg)
     rep = lattice_report(inclusion_poset(alg, subs, tol))
     a, b, c = rep.distributive_witness
     lhs = rep.meet_table[(a, rep.join_table[(b, c)])]
@@ -467,7 +467,7 @@ def _bundle_interval(tol: Tolerance) -> tuple[dict, bool]:
     commutative = is_commutative(alg, tol)
     fwd = g.compose("f", "f_inv")
     back = g.compose("f_inv", "f")
-    subs = enumerate_subgroupoids(g)
+    subs = enumerate_subgroupoids(g, alg)
     inc = inclusion_poset(alg, subs, tol)
     inc_rep = lattice_report(inc)
     mult = build_poset(alg, subgroupoid_points(alg, subs), tol)
@@ -587,95 +587,110 @@ def cmd_counterexamples(args) -> int:
     return 0 if all_ok else 1
 
 
-# -- argument plumbing ------------------------------------------------------
+# -- command line grammar ---------------------------------------------------
+
+# (name, add_argument keywords). Every subcommand takes the common options
+# first, then its own arguments, in this order in its help.
+_COMMON_ARGS = (
+    ("--tolerance", dict(dest="tolerance", type=float, default=DEFAULT_TOL.epsilon,
+                         help="numeric tolerance")),
+    ("--format", dict(dest="format", choices=["text", "structured", "dot"], default="text",
+                      help="output format (dot applies to lattice only)")),
+    ("--max-enum", dict(dest="max_enum", type=int, default=1_000_000,
+                        help="cap on enumerated candidates before giving up")),
+    ("--seed", dict(dest="seed", type=int, default=None, help="seed for sampling checks")),
+)
+_INPUT = ("input", {})
+
+# subcommand -> (handler, help, own arguments)
+_COMMANDS = {
+    "validate": (cmd_validate, "law-check one input", (
+        ("input", dict(help="path to a JSON document, or a builtin fixture name")),
+        ("--backend", dict(dest="backend", choices=[REL, FHILB], default=None,
+                           help="assert the input lives on this backend")),
+    )),
+    "projections": (cmd_projections, "enumerate the projection family", (_INPUT,)),
+    "lattice": (cmd_lattice, "order and lattice analytics", (
+        _INPUT,
+        ("--order", dict(dest="order", choices=["mult", "inclusion"], required=True,
+                         help="which order to analyze")),
+    )),
+    "copyables": (cmd_copyables, "copyables versus connected components", (_INPUT,)),
+    "tensor": (cmd_tensor, "compose two algebras", (("left", {}), ("right", {}))),
+    "counterexamples": (cmd_counterexamples, "verified counterexample bundles",
+                        (("bundle", dict(choices=sorted(_BUNDLES) + ["all"])),)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the grammar; it writes every help text and usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="projlat",
         description="Projection order analytics for groupoid and matrix algebras.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOL.epsilon, help="numeric tolerance"
-    )
-    common.add_argument(
-        "--format",
-        choices=["text", "structured", "dot"],
-        default="text",
-        help="output format (dot applies to lattice only)",
-    )
-    common.add_argument(
-        "--max-enum",
-        dest="max_enum",
-        type=int,
-        default=1_000_000,
-        help="cap on enumerated candidates before giving up",
-    )
-    common.add_argument("--seed", type=int, default=None, help="seed for sampling checks")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="law-check one input")
-    p.add_argument("input", help="path to a JSON document, or a builtin fixture name")
-    p.add_argument(
-        "--backend",
-        choices=[REL, FHILB],
-        default=None,
-        help="assert the input lives on this backend",
-    )
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser(
-        "projections", parents=[common], help="enumerate the projection family"
-    )
-    p.add_argument("input")
-    p.set_defaults(func=cmd_projections)
-
-    p = sub.add_parser("lattice", parents=[common], help="order and lattice analytics")
-    p.add_argument("input")
-    p.add_argument(
-        "--order",
-        choices=["mult", "inclusion"],
-        required=True,
-        help="which order to analyze",
-    )
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser(
-        "copyables", parents=[common], help="copyables versus connected components"
-    )
-    p.add_argument("input")
-    p.set_defaults(func=cmd_copyables)
-
-    p = sub.add_parser("tensor", parents=[common], help="compose two algebras")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser(
-        "counterexamples", parents=[common], help="verified counterexample bundles"
-    )
-    p.add_argument("bundle", choices=sorted(_BUNDLES) + ["all"])
-    p.set_defaults(func=cmd_counterexamples)
-
+    for command, (func, help_text, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kw in _COMMON_ARGS + own:
+            p.add_argument(name, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _value(kw: dict, text: str):
+    """text read by the argument's type and checked against its choices; ValueError if not."""
+    value = kw.get("type", str)(text)
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _read_argv(argv: list[str]):
+    """The namespace argparse gives for a canonical argv, else None (argparse reads it).
+
+    Canonical: an exact subcommand, its positionals, and exact long options
+    each followed by a value not starting with "-"; every value passes its
+    type and choices, and every positional and required option is given."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    func, _, own = entry
+    options = {name: kw for name, kw in _COMMON_ARGS + own if name.startswith("-")}
+    positionals = [(name, kw) for name, kw in own if not name.startswith("-")]
+    values = {kw["dest"]: kw.get("default") for kw in options.values()}
+    missing = {name for name, kw in options.items() if kw.get("required")}
+    texts = []
+    tokens = iter(argv[1:])
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        for token in tokens:
+            if not token.startswith("-"):
+                texts.append(token)
+                continue
+            kw, text = options.get(token), next(tokens, "-")
+            if kw is None or text.startswith("-"):
+                return None
+            values[kw["dest"]] = _value(kw, text)
+            missing.discard(token)
+        if missing or len(texts) != len(positionals):
+            return None
+        values.update((name, _value(kw, text)) for (name, kw), text in zip(positionals, texts))
+    except ValueError:
+        return None
+    return types.SimpleNamespace(command=argv[0], **values, func=func)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BackendMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LawViolation as exc:
         print(f"law violation: {exc}", file=sys.stderr)
         for v in exc.violations:
@@ -684,7 +699,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (BackendMismatch, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,9 +71,10 @@ def _encode(value):
     if isinstance(value, dict):
         if value and isinstance(next(iter(value)), tuple):
             rows: dict[str, dict] = {}
-            for (a, b), m in sorted(value.items()):
-                rows.setdefault(a, {})[b] = _encode(m)
-            return rows
+            for (a, b), m in value.items():  # a name table arrives in name order
+                rows.setdefault(a, {})[b] = m if m is None or type(m) is str else _encode(m)
+            return {a: row if list(row) == sorted(row) else dict(sorted(row.items()))
+                    for a, row in sorted(rows.items())}
         return {k: _encode(v) for k, v in value.items()}
     return value
 

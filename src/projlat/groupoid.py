@@ -733,11 +733,13 @@ def brute_force_subgroupoids(g: Groupoid) -> list[Subgroupoid]:
     return [_mask_to_subgroupoid(g, m) for m in _scanned_masks(to_algebra(g))]
 
 
-def enumerate_subgroupoids(g: Groupoid, **caps) -> list[Subgroupoid]:
+def enumerate_subgroupoids(g: Groupoid, alg=None, **caps) -> list[Subgroupoid]:
     """All subgroupoids, in lectic order, the empty one included: the
-    projections of the groupoid algebra, by enumerate_projections, which
-    takes the keyword arguments (max_closed, max_carrier, cross_check)."""
-    return [_mask_to_subgroupoid(g, m) for m in enumerate_projections(to_algebra(g), **caps)]
+    projections of the groupoid algebra alg (to_algebra(g), built here when
+    not given), by enumerate_projections, which takes the keyword arguments
+    (max_closed, max_carrier, cross_check)."""
+    alg = to_algebra(g) if alg is None else alg
+    return [_mask_to_subgroupoid(g, m) for m in enumerate_projections(alg, **caps)]
 
 
 def subgroupoid_points(alg: FrobeniusAlgebra, subs: Iterable[Subgroupoid]) -> list[Point]:

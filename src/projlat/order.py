@@ -636,8 +636,8 @@ def ore_crossvalidate(fixtures: Iterable[tuple[str, Groupoid]]) -> OreReport:
     for name, g in fixtures:
         if not g.is_group:
             raise ValueError(f"fixture {name!r} is not a one-object groupoid")
-        subs = enumerate_subgroupoids(g)
-        rep = lattice_report(inclusion_poset(to_algebra(g), subs))
+        alg = to_algebra(g)
+        rep = lattice_report(inclusion_poset(alg, enumerate_subgroupoids(g, alg)))
         if not rep.is_lattice:
             raise LawViolation(
                 f"subgroup inclusion order of {name!r} is not a lattice",

@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, formats, bundles, file inputs."""
 
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
@@ -36,6 +38,7 @@ from projlat.frobenius import zero_one_projections
 from projlat.groupoid import enumerate_projections
 from projlat.serialize import algebra_to_doc, groupoid_to_doc
 from projlat.tensoralg import tensor_algebras
+from test_golden import ARGPARSE_OWNED, GOLDEN
 
 
 def run(args, capsys):
@@ -663,3 +666,166 @@ def test_structured_output_is_valid_sorted_json(capsys):
     doc = json.loads(out)
     assert doc["kind"] == "cli_report"
     assert out == dump_json(doc)
+
+
+def test_groupoid_algebra_is_built_once_per_input(monkeypatch, capsys):
+    """Each groupoid input's algebra is built once and handed to enumerate_subgroupoids."""
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return real(g)
+
+    real = groupoid.to_algebra
+    monkeypatch.setattr(groupoid, "to_algebra", counted)
+    monkeypatch.setattr(cli, "to_algebra", counted)
+    for argv, inputs in (
+        (["lattice", "klein4", "--order", "inclusion"], 1),
+        (["lattice", "interval", "--order", "mult"], 1),
+        (["projections", "dihedral4"], 1),
+        (["tensor", "klein4", "interval"], 2),
+        (["counterexamples", "klein4-nondistributive"], 1),
+        (["counterexamples", "interval-noncommutative"], 1),
+    ):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == inputs, argv
+    capsys.readouterr()
+
+
+# -- the command line reader against argparse --------------------------------
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _same_vars(got, want):
+    # repr tells 1 from 1.0 and compares nan to nan
+    return {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
+_COMMAND_TOKENS = (*cli._COMMANDS, "valid", "Validate", "lattices", "tensors", "nope", "")
+_OPTION_TOKENS = (
+    "--tolerance", "--tol", "--format", "--form", "--f", "--max-enum", "--max", "--max_enum",
+    "--seed", "--s", "--backend", "--back", "--order", "--ord", "--tolerance=0.5",
+    "--format=structured", "--max-enum=5", "--seed=3", "--backend=rel", "--order=mult",
+    "-h", "--help", "--", "-", "-x", "--nope",
+)
+_VALUE_TOKENS = (
+    "text", "structured", "dot", "xml", "mult", "inclusion", "rel", "fhilb", "0", "3", "1_000",
+    "1.5", "1e-9", "nan", "inf", "abc", "", "-5", "-1e-9", "-inf", "a b",
+    "klein4", "pants3", "dihedral4", "nope", "all", "klein4-nondistributive", "boolean-basis",
+)
+# (good, bad) values for each argument, keyed by option name or positional
+# dest; the bad ones fail its type or choices, or argparse reads them as options
+_VALUES = {
+    "--tolerance": (("1e-9", "0.5", "nan", "3"), ("-1e-9", "-inf", "abc", "")),
+    "--format": (("text", "structured", "dot"), ("xml", "-h")),
+    "--max-enum": (("0", "5", "1_000"), ("-5", "1.5", "x")),
+    "--seed": (("0", "3", "1_000"), ("-1", "1.5", "--")),
+    "--backend": (("rel", "fhilb"), ("xml", "--help")),
+    "--order": (("mult", "inclusion"), ("xml", "-")),
+    "input": (("klein4", "pants3", "nope", "a b", ""), ("-", "--", "-x")),
+    "left": (("klein4", "pants2"), ("-",)),
+    "right": (("interval", "basis2"), ("--seed",)),
+    "bundle": (("all", "klein4-nondistributive", "boolean-basis"), ("nope", "-h")),
+}
+_ANY_TOKEN = st.sampled_from(_COMMAND_TOKENS + _OPTION_TOKENS + _VALUE_TOKENS)
+
+
+@st.composite
+def _argv(draw):
+    """An argv near the grammar: a well-formed one, with values drawn for
+    each argument and up to three token edits, or a list of tokens drawn
+    from commands, options and values."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(_ANY_TOKEN, max_size=8))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, own = cli._COMMANDS[command]
+
+    def value(name):
+        good, bad = _VALUES[name]
+        pick = draw(st.integers(0, 6))  # good 5 times in 7, bad once, any token once
+        return draw(st.sampled_from(good if pick < 5 else bad) if pick < 6 else _ANY_TOKEN)
+
+    parts = [[value(name)] for name, _ in own if not name.startswith("-")]
+    for name, kw in cli._COMMON_ARGS + own:
+        if name.startswith("-") and (kw.get("required") or draw(st.booleans())):
+            parts.append([name, value(name)])
+    argv = [command] + [t for part in draw(st.permutations(parts)) for t in part]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "repeat"]))
+        if edit == "insert":
+            argv.insert(at, draw(_ANY_TOKEN))
+        elif at < len(argv) and edit == "replace":
+            argv[at] = draw(_ANY_TOKEN)
+        elif at < len(argv) and edit == "delete":
+            del argv[at]
+        elif at < len(argv):
+            argv.append(argv[at])
+    return argv
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_argv())
+def test_reader_agrees_with_argparse(argv):
+    """The reader gives argparse's namespace, func included, or None."""
+    got = cli._read_argv(argv)
+    if got is not None:
+        want = _argparse_vars(argv)
+        assert want is not None, argv
+        assert _same_vars(vars(got), want), argv
+
+
+# the argv shapes of perfbench/run.py's jobs, which append --format structured
+PERFBENCH_ARGV = (
+    "validate pants5",
+    "validate perfbench/_work/docs/direct-sum.json",
+    "projections pants3 --seed 1804289383",
+    "tensor pants2 basis2",
+    "lattice basis5 --order mult",
+    "lattice perfbench/_work/docs/z2x4.json --order mult",
+    "lattice perfbench/_work/docs/z2x4.json --order inclusion",
+    "copyables perfbench/_work/docs/copyables-z2x4.json",
+    "tensor klein4 interval",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [f"{c} --format {f}".split() for c in sorted(GOLDEN) for f in ("text", "structured")]
+    + [f"{c} --format structured".split() for c in PERFBENCH_ARGV],
+    ids=" ".join,
+)
+def test_golden_and_benchmark_argv_take_the_reader(argv):
+    got = cli._read_argv(argv)
+    assert got is not None
+    assert _same_vars(vars(got), _argparse_vars(argv))
+
+
+def test_reader_declines_what_argparse_owns():
+    """Help, usage errors and argparse-only spellings all go to argparse."""
+    for command in ARGPARSE_OWNED:
+        assert cli._read_argv(command.split()) is None, command
+
+
+def test_cli_import_and_canonical_run_leave_argparse_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        "import projlat.cli\n"
+        "unwanted = ('argparse', 'gettext', 'locale')\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert projlat.cli.main(['lattice', 'klein4', '--order', 'inclusion']) == 0\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n[]\n", "")
+

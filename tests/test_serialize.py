@@ -55,6 +55,7 @@ from projlat import (
     to_algebra,
     zero_one_points,
 )
+from projlat.errors import Violation, _encode
 
 TOL = Tolerance(1e-9)
 
@@ -150,6 +151,19 @@ def test_every_report_kind_round_trips_losslessly():
         assert again == rep
         assert again.to_dict() == doc
     assert seen == set(REPORT_KINDS) - {"cli_report"}
+
+
+def test_pair_tables_encode_as_rows_in_name_order():
+    """A table keyed by name pairs becomes rows sorted by name, whatever order
+    its pairs were inserted in; a nested report in a cell is encoded too."""
+    names = ["b", "a10", "a2", "c", "B"]
+    cell = {n: ("a2" if n < "c" else None) for n in names}
+    cell["B"] = Violation("law", ("B",))
+    want = {x: {y: _encode(cell[y]) for y in sorted(names)} for x in sorted(names)}
+    pairs = [(x, y) for x in names for y in names]
+    for order in (sorted(pairs), pairs, random.Random(3).sample(pairs, len(pairs))):
+        got = _encode({(x, y): cell[y] for x, y in order})
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_cli_report_kind_round_trips():
