@@ -159,8 +159,11 @@ def _resolve_raw(spec: str):
     """A (display name, payload) pair; payload is a dict document, a
     Groupoid, or a FrobeniusAlgebra, not yet law-checked."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            doc = load_json(fh.read())
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                doc = load_json(fh.read())
+        except OSError as exc:
+            raise ParseError(f"cannot read {spec!r}: {exc.strerror or exc}") from exc
         kind = detect_document(doc)
         if kind == "groupoid":
             return spec, doc
@@ -433,8 +436,8 @@ def _bundle_klein4(tol: Tolerance) -> tuple[dict, bool]:
     subs = enumerate_subgroupoids(g, alg)
     rep = lattice_report(inclusion_poset(alg, subs, tol))
     a, b, c = rep.distributive_witness
-    lhs = rep.meet_table[(a, rep.join_table[(b, c)])]
-    rhs = rep.join_table[(rep.meet_table[(a, b)], rep.meet_table[(a, c)])]
+    lhs = rep.meet_table[a][rep.join_table[b][c]]
+    rhs = rep.join_table[rep.meet_table[a][b]][rep.meet_table[a][c]]
     witness_ok = lhs == a and lhs != rhs
     ok = (
         commutative
@@ -537,7 +540,7 @@ def _bundle_boolean(tol: Tolerance) -> tuple[dict, bool]:
         for nb, ib in masks.items():
             want_meet = f"b{ia & ib:03b}"
             want_join = f"b{ia | ib:03b}"
-            if rep.meet_table[(na, nb)] != want_meet or rep.join_table[(na, nb)] != want_join:
+            if rep.meet_table[na][nb] != want_meet or rep.join_table[na][nb] != want_join:
                 bit_ok = False
     complement_ok = all(
         e.complement == f"b{~masks[e.element] & 7:03b}" for e in rep.probe.entries

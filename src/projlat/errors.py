@@ -35,9 +35,9 @@ class Report:
     nested in others) and doc_keys, the document keys in output order;
     a key may name a derived property such as passed, which is written but
     not read back. Encoding works from the values: tuples become lists,
-    nested reports become documents, and a table keyed by name pairs
-    becomes a mapping of rows sorted by name. Decoding rebuilds each field
-    from its annotation, so a round trip yields an equal report.
+    nested reports become documents, and mappings keep their keys and
+    order. Decoding rebuilds each field from its annotation, so a round
+    trip yields an equal report.
     """
 
     kind: ClassVar[Optional[str]] = None
@@ -69,12 +69,6 @@ def _encode(value):
     if isinstance(value, (tuple, list)):
         return [_encode(x) for x in value]
     if isinstance(value, dict):
-        if value and isinstance(next(iter(value)), tuple):
-            rows: dict[str, dict] = {}
-            for (a, b), m in value.items():  # a name table arrives in name order
-                rows.setdefault(a, {})[b] = m if m is None or type(m) is str else _encode(m)
-            return {a: row if list(row) == sorted(row) else dict(sorted(row.items()))
-                    for a, row in sorted(rows.items())}
         return {k: _encode(v) for k, v in value.items()}
     return value
 
@@ -95,8 +89,8 @@ def _decode(hint, value):
         if len(args) == 2 and args[1] is Ellipsis:
             return tuple(_decode(args[0], x) for x in value)
         return tuple(_decode(h, x) for h, x in zip(args, value))
-    if origin is dict and typing.get_origin(args[0]) is tuple:
-        return {(a, b): _decode(args[1], m) for a, row in value.items() for b, m in row.items()}
+    if origin is dict:
+        return {k: _decode(args[1], v) for k, v in value.items()}
     if origin is None and issubclass(hint, Report):
         return hint.from_dict(value)
     return value

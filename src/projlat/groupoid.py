@@ -40,7 +40,6 @@ from .backend import (
     rel_morphism,
     rel_object,
     related_pairs,
-    tensor_objects,
     unit_object,
 )
 from .errors import (
@@ -485,7 +484,7 @@ def to_algebra(g: Groupoid) -> FrobeniusAlgebra:
     unit_pairs = {(0, g.index[e]) for e in g.identities.values()}
     return FrobeniusAlgebra(
         carrier,
-        Morphism(tensor_objects(carrier, carrier), carrier, mult),
+        Morphism(rel_object(n * n), carrier, mult),  # A (x) A, without d^2 labels
         rel_morphism(unit_object(REL), carrier, unit_pairs),
     )
 
@@ -809,8 +808,12 @@ def _is_special(alg: FrobeniusAlgebra) -> bool:
 
 
 def enumerate_copyables(alg: FrobeniusAlgebra) -> list[Point]:
-    """All rel points satisfying the copying equation, in lectic order, named
-    by mask_points.
+    """All rel points satisfying the copying equation, in lectic order."""
+    return mask_points(alg, _copyable_masks(alg)[0])
+
+
+def _copyable_masks(alg: FrobeniusAlgebra) -> tuple[list[int], list[int]]:
+    """(the copyables' support masks in lectic order, the block masks).
 
     A set S is copyable when, for every product e_i e_j containing e_k, k is
     in S exactly when i and j are, and every pair of members composes. Each
@@ -818,21 +821,23 @@ def enumerate_copyables(alg: FrobeniusAlgebra) -> list[Point]:
     Heunen-Contreras-Cattaneo, the copyables are exactly the empty set and
     the blocks whose members all compose (single-object components; see
     copyables_report), at every size. Otherwise each test filters a uint64
-    array of support bitmasks: carriers up to BRUTE_FORCE_LIMIT scan all
-    2^n masks, larger ones test only the cheap candidates (empty set, each
-    block, their union), so that result is sound but not exhaustive.
+    array of all 2^n support bitmasks, so a carrier above BRUTE_FORCE_LIMIT
+    raises ResourceLimit.
     """
     if alg.backend != REL:
         raise BackendMismatch("copyable enumeration is a rel operation")
     n = alg.carrier.size
+    blocks = _component_masks(alg)
     if _is_special(alg):
         composes = alg.mult.payload.any(axis=0).reshape(n, n)
         copyable = [0]
-        for block in _component_masks(alg):
+        for block in blocks:
             members = np.flatnonzero(_bits(block, n))
             if composes[np.ix_(members, members)].all():
                 copyable.append(block)
-        return mask_points(alg, sorted(copyable, key=lambda m: _bits(m, n)))
+        return sorted(copyable, key=lambda m: _bits(m, n)), blocks
+    if n > BRUTE_FORCE_LIMIT:
+        raise ResourceLimit(f"non-special copyables scan 2^{n} sets, cap 2^{BRUTE_FORCE_LIMIT}")
     products = [(pair // n, pair % n, k) for pair, k in related_pairs(alg.mult)]
     # A step tests one product while the array is long, many once it is short.
     # It shrinks fastest if early products reject independently: x e = x and
@@ -841,11 +846,7 @@ def enumerate_copyables(alg: FrobeniusAlgebra) -> list[Point]:
     products.sort(key=lambda p: (p[2] in p[:2], (p[0] + p[2]) % n, p[0]))
     bits = np.arange(n, dtype=np.uint64)
     comp_with = (alg.structure.any(0).astype(np.uint64) << bits).sum(1)  # j composable after i
-    if n <= BRUTE_FORCE_LIMIT:
-        masks = np.arange(1 << n, dtype=np.uint64)
-    else:
-        blocks = _component_masks(alg)
-        masks = np.array(sorted({0, sum(blocks), *blocks}), dtype=np.uint64)
+    masks = np.arange(1 << n, dtype=np.uint64)
     ijk, done = np.array(products, dtype=np.uint64).reshape(-1, 3), 0
     while done < len(ijk):  # product membership must match pair membership
         i, j, k = ijk[done : done + max(1, _MASK_TESTS // max(1, len(masks)))].T
@@ -854,7 +855,7 @@ def enumerate_copyables(alg: FrobeniusAlgebra) -> list[Point]:
         done += len(i)
     col = masks[:, None]
     masks = masks[((col >> bits & 1 == 0) | (col & ~comp_with == 0)).all(1)]  # members compose
-    return mask_points(alg, sorted(masks.tolist(), key=lambda m: _bits(m, n)))
+    return sorted(masks.tolist(), key=lambda m: _bits(m, n)), blocks
 
 
 @dataclass(frozen=True)
@@ -889,11 +890,13 @@ def copyables_report(alg: FrobeniusAlgebra) -> CopyablesReport:
     component, which can have no other object. A multi-object component is
     therefore reported as missing, not as a law violation.
     """
-    found = {sum(1 << int(i) for i in np.flatnonzero(p.vector)) for p in enumerate_copyables(alg)}
-    expected = {0, *_component_masks(alg)}
+    copyable, blocks = _copyable_masks(alg)
+    found, expected = set(copyable), {0, *blocks}
+    masks = sorted(found | expected)
+    name = dict(zip(masks, (p.name for p in mask_points(alg, masks))))
 
     def names(masks) -> tuple[str, ...]:
-        return tuple(sorted(p.name for p in mask_points(alg, masks)))
+        return tuple(sorted(name[m] for m in masks))
 
     return CopyablesReport(
         copyables=names(found),

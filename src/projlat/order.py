@@ -24,7 +24,6 @@ element exists and which complementation clauses it satisfies.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -441,8 +440,8 @@ class LatticeReport(Report):
     is_lattice: bool
     missing_meets: tuple[tuple[str, str], ...]
     missing_joins: tuple[tuple[str, str], ...]
-    meet_table: dict[tuple[str, str], Optional[str]] = field(repr=False)
-    join_table: dict[tuple[str, str], Optional[str]] = field(repr=False)
+    meet_table: dict[str, dict[str, Optional[str]]] = field(repr=False)
+    join_table: dict[str, dict[str, Optional[str]]] = field(repr=False)
     distributive: Optional[bool]
     distributive_witness: Optional[tuple[str, str, str]]
     modular: Optional[bool]
@@ -509,9 +508,9 @@ def _modular_witness(leq, meet, join) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _name_table(names: Sequence[str], t: np.ndarray) -> dict[tuple[str, str], Optional[str]]:
+def _name_table(names: Sequence[str], t: np.ndarray) -> dict[str, dict[str, Optional[str]]]:
     label = np.array([*names, None], dtype=object)  # index -1 (no bound) reads None
-    return dict(zip(itertools.product(names, names), label[t].ravel().tolist()))
+    return {a: dict(zip(names, row)) for a, row in zip(names, label[t].tolist())}
 
 
 def lattice_report(poset: ProjectionPoset) -> LatticeReport:

@@ -281,5 +281,5 @@ def dump_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
 def load_json(text: str) -> dict:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is a RecursionError
         raise ParseError(f"invalid JSON: {exc}") from exc

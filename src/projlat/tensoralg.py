@@ -85,8 +85,8 @@ def tensor_algebras(
                 [Violation("component-axioms", (side, ax)) for ax in rep.failed_axioms()],
             )
     carrier = tensor_objects(a.carrier, b.carrier)
-    pair = tensor_objects(carrier, carrier)
     n = carrier.size
+    pair = ObjectRef(a.backend, n * n)  # A (x) A, without d^2 labels nothing reads
     mult = Morphism(
         pair, carrier, np.einsum("kip,ljq->klijpq", a.structure, b.structure).reshape(n, n * n)
     )

@@ -129,8 +129,8 @@ def test_criterion_01_quartic_group_lattice():
     witness_ok = False
     if rep.distributive is False and rep.distributive_witness:
         a, b, c = rep.distributive_witness
-        lhs = rep.meet_table[(a, rep.join_table[(b, c)])]
-        rhs = rep.join_table[(rep.meet_table[(a, b)], rep.meet_table[(a, c)])]
+        lhs = rep.meet_table[a][rep.join_table[b][c]]
+        rhs = rep.join_table[rep.meet_table[a][b]][rep.meet_table[a][c]]
         witness_ok = lhs == a and lhs != rhs
     dt = time.perf_counter() - t0
     ok = len(subs) == 6 and len(proper) == 3 and commutative and witness_ok and dt < 1.0
@@ -225,9 +225,9 @@ def test_criterion_05_boolean_cube():
         masks = {p.name: int(p.name[1:], 2) for p in pts}
         for na, ia in masks.items():
             for nb, ib in masks.items():
-                if rep.meet_table[(na, nb)] != f"b{ia & ib:0{n}b}":
+                if rep.meet_table[na][nb] != f"b{ia & ib:0{n}b}":
                     good = False
-                if rep.join_table[(na, nb)] != f"b{ia | ib:0{n}b}":
+                if rep.join_table[na][nb] != f"b{ia | ib:0{n}b}":
                     good = False
         good = good and rep.is_lattice and rep.distributive is True
         good = good and rep.probe.applicable and rep.probe.all_pass

@@ -17,6 +17,7 @@ from projlat import (
     DEFAULT_TOL,
     REL,
     FrobeniusAlgebra,
+    ResourceLimit,
     check_axioms,
     cyclic,
     dump_json,
@@ -93,6 +94,23 @@ def test_malformed_file_is_exit_2(tmp_path, capsys):
     bad.write_text("{broken")
     code, _, err = run(["validate", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["lattice", "--order", "mult"], ["tensor", "klein4"]], ids=lambda a: a[0]
+)
+def test_unreadable_input_is_exit_2(tmp_path, capsys, argv):
+    code, out, err = run([*argv, str(tmp_path)], capsys)  # a directory
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["validate", str(deep)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth") and err.count("\n") == 1
 
 
 def _bad_carrier(doc):
@@ -401,6 +419,22 @@ def test_copyables_on_unlabeled_rel_algebras(index, other, tmp_path, capsys):
     assert report["missing"] == names(expected - found)
     assert report["extra"] == names(found - expected)
     assert code == (0 if found == expected else 1)
+
+
+def test_non_special_copyables_above_the_scan_limit_are_a_resource_limit(tmp_path, capsys):
+    """An 18-element non-special algebra cannot be scanned exhaustively, so
+    copyables refuses it instead of checking a few candidates."""
+    alg = _carrier_two_algebra(3, "cyclic9")
+    assert alg.carrier.size > groupoid.BRUTE_FORCE_LIMIT and not groupoid._is_special(alg)
+    assert check_axioms(alg).passed
+    for enumerate_ in (groupoid.enumerate_copyables, groupoid.copyables_report):
+        with pytest.raises(ResourceLimit, match="2\\^18"):
+            enumerate_(alg)
+    path = tmp_path / "alg.json"
+    path.write_text(dump_json(algebra_to_doc(alg)))
+    code, out, err = run(["copyables", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "resource limit: non-special copyables scan 2^18 sets, cap 2^16\n"
 
 
 def test_copyables_on_c2_document_without_labels(tmp_path, capsys):

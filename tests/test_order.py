@@ -168,8 +168,8 @@ def test_klein4_inclusion_is_m3_plus_tail():
     m3, n5 = forbidden_sublattices(incl)
     assert m3 is not None and n5 is None
     wa, wb, wc = rep.distributive_witness
-    lhs = rep.meet_table[(wa, rep.join_table[(wb, wc)])]
-    rhs = rep.join_table[(rep.meet_table[(wa, wb)], rep.meet_table[(wa, wc)])]
+    lhs = rep.meet_table[wa][rep.join_table[wb][wc]]
+    rhs = rep.join_table[rep.meet_table[wa][wb]][rep.meet_table[wa][wc]]
     assert lhs == wa and lhs != rhs
 
 

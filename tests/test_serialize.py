@@ -10,6 +10,7 @@ import pytest
 
 from projlat import (
     ParseError,
+    ProjectionPoset,
     REPORT_KINDS,
     Tolerance,
     algebra_from_doc,
@@ -46,7 +47,9 @@ from projlat import (
     orthocomplement_probe,
     pants_algebra,
     parse_report,
+    point_from_matrix,
     product,
+    random_projection,
     rel_morphism,
     rel_object,
     related_pairs,
@@ -55,7 +58,7 @@ from projlat import (
     to_algebra,
     zero_one_points,
 )
-from projlat.errors import Violation, _encode
+from lattice_oracle import bound_table
 
 TOL = Tolerance(1e-9)
 
@@ -153,17 +156,45 @@ def test_every_report_kind_round_trips_losslessly():
     assert seen == set(REPORT_KINDS) - {"cli_report"}
 
 
-def test_pair_tables_encode_as_rows_in_name_order():
-    """A table keyed by name pairs becomes rows sorted by name, whatever order
-    its pairs were inserted in; a nested report in a cell is encoded too."""
-    names = ["b", "a10", "a2", "c", "B"]
-    cell = {n: ("a2" if n < "c" else None) for n in names}
-    cell["B"] = Violation("law", ("B",))
-    want = {x: {y: _encode(cell[y]) for y in sorted(names)} for x in sorted(names)}
-    pairs = [(x, y) for x in names for y in names]
-    for order in (sorted(pairs), pairs, random.Random(3).sample(pairs, len(pairs))):
-        got = _encode({(x, y): cell[y] for x, y in order})
-        assert json.dumps(got) == json.dumps(want)
+def _named_bounds(poset, bound) -> dict:
+    """bound_table's rows keyed by name, in name order, None for no bound."""
+    names = sorted(poset.names)
+    at = {name: k for k, name in enumerate(poset.names)}
+    table = bound_table(np.ascontiguousarray(bound))
+    return {a: {b: poset.names[m] if (m := table[at[a], at[b]]) >= 0 else None for b in names}
+            for a in names}
+
+
+def table_posets():
+    g = interval()
+    alg = to_algebra(g)
+    subs = enumerate_subgroupoids(g)
+    pants = pants_algebra(4)
+    rank2 = [point_from_matrix(pants, random_projection(4, 2, seed=s), f"r{s}") for s in (31, 32)]
+    vee = np.array([[1, 1, 1], [0, 1, 0], [0, 0, 1]], dtype=bool)  # two atoms, no join
+    orth = np.zeros((3, 3), dtype=bool)
+    orth[0], orth[:, 0] = True, True
+    return [
+        build_poset(alg, subgroupoid_points(alg, subs), TOL),
+        inclusion_poset(alg, subs, TOL),
+        build_poset(pants, rank2, TOL),
+        ProjectionPoset.from_relations([None] * 3, ["z", "b", "a"], vee, orth, 0),
+    ]
+
+
+def test_lattice_tables_are_name_rows():
+    """meet_table and join_table are rows in name order that equal the
+    oracle's bounds, and they come back equal through a document."""
+    for poset in table_posets():
+        rep = lattice_report(poset)
+        names = sorted(poset.names)
+        for table, want in ((rep.meet_table, _named_bounds(poset, poset.leq.T)),
+                            (rep.join_table, _named_bounds(poset, poset.leq))):
+            assert list(table) == names
+            assert all(list(row) == names for row in table.values())
+            assert table == want
+        again = parse_report(through_json(rep.to_dict()))
+        assert again.meet_table == rep.meet_table and again.join_table == rep.join_table
 
 
 def test_cli_report_kind_round_trips():
@@ -187,10 +218,11 @@ def report_docs():
         lambda docs: {"kind": "axiom_report"},
         lambda docs: {**docs["lattice_report"], "names": 5},
         lambda docs: {**docs["lattice_report"], "meet_table": 5},
+        lambda docs: {**docs["lattice_report"], "join_table": {"a": 5}},
         lambda docs: {**docs["probe_report"], "entries": [5]},
         lambda docs: {**docs["equivalence_report"], "pairs": [{"left": "a"}]},
     ],
-    ids=["fields-missing", "names-not-a-list", "table-not-a-mapping",
+    ids=["fields-missing", "names-not-a-list", "table-not-a-mapping", "row-not-a-mapping",
          "entry-not-a-mapping", "nested-fields-missing"],
 )
 def test_malformed_report_is_a_parse_error(bad):

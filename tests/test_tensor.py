@@ -152,3 +152,13 @@ def test_bi_order_check_passes_and_counts():
     rep_b = bi_order_check(tb, fam_b, fam_b, TOL)
     assert rep_b.passed
     assert rep_b.interchange_checked == len(fam_b) ** 4
+
+
+def test_mult_domains_carry_no_pair_labels():
+    """A (x) A is typed by size alone; the carriers keep their labels."""
+    k4 = to_algebra(klein4())
+    composite = tensor_algebras(k4, to_algebra(cyclic(3))).algebra
+    for alg in (k4, composite):
+        assert alg.mult.dom.labels is None
+        assert alg.mult.dom.size == alg.carrier.size**2
+        assert alg.carrier.labels is not None
