@@ -254,17 +254,11 @@ def _emit(command: str, data: dict, args) -> None:
         sys.stdout.write("\n".join(_render(doc)) + "\n")
 
 
-def _require_text_or_structured(args) -> None:
-    if args.format == "dot":
-        raise ParseError("dot output is only available for the lattice subcommand")
-
-
 # -- projection families ----------------------------------------------------
 
 
-def _family(g, alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
-    if g is not None:
-        return subgroupoid_points(alg, enumerate_subgroupoids(g, alg, max_closed=max_enum))
+def _family(alg: FrobeniusAlgebra, tol: Tolerance, max_enum: int) -> list[Point]:
+    """The projection family of any algebra; on a groupoid's, its subgroupoids."""
     if closure_applies(alg, tol):
         return mask_points(alg, enumerate_projections(alg, max_closed=max_enum, tol=tol))
     return mask_points(alg, zero_one_projections(alg, tol, max_enum))
@@ -295,9 +289,7 @@ def _sample_matrix_projections(alg: FrobeniusAlgebra, tol: Tolerance, seed: int)
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
-    _require_text_or_structured(args)
-    tol = Tolerance(args.tolerance)
+def cmd_validate(args, tol: Tolerance) -> int:
     name, raw = _resolve_raw(args.input)
     if isinstance(raw, Groupoid):
         raw = raw.to_doc()
@@ -329,12 +321,10 @@ def cmd_validate(args) -> int:
     return code
 
 
-def cmd_projections(args) -> int:
-    _require_text_or_structured(args)
-    tol = Tolerance(args.tolerance)
+def cmd_projections(args, tol: Tolerance) -> int:
     name, raw = _resolve_raw(args.input)
-    g, alg = _checked(raw, tol)
-    points = _family(g, alg, tol, args.max_enum)
+    _, alg = _checked(raw, tol)
+    points = _family(alg, tol, args.max_enum)
     poset = build_poset(alg, points, tol)
     orth = check_orthogonality_axioms(poset)
     data = {
@@ -352,8 +342,7 @@ def cmd_projections(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_lattice(args) -> int:
-    tol = Tolerance(args.tolerance)
+def cmd_lattice(args, tol: Tolerance) -> int:
     name, raw = _resolve_raw(args.input)
     g, alg = _checked(raw, tol)
     if args.order == "inclusion":
@@ -362,7 +351,7 @@ def cmd_lattice(args) -> int:
         subs = enumerate_subgroupoids(g, alg, max_closed=args.max_enum)
         poset = inclusion_poset(alg, subs, tol)
     else:
-        poset = build_poset(alg, _family(g, alg, tol, args.max_enum), tol)
+        poset = build_poset(alg, _family(alg, tol, args.max_enum), tol)
     if args.format == "dot":
         sys.stdout.write(to_dot(poset, title=f"{os.path.basename(name)} {args.order}"))
         return 0
@@ -384,25 +373,20 @@ def cmd_lattice(args) -> int:
     return code
 
 
-def cmd_copyables(args) -> int:
-    _require_text_or_structured(args)
+def cmd_copyables(args, tol: Tolerance) -> int:
     name, raw = _resolve_raw(args.input)
     if getattr(raw, "backend", REL) != REL:  # groupoids live on rel
         raise ParseError("copyable enumeration is defined on the rel backend only")
-    g, alg = _checked(raw, Tolerance(args.tolerance))
-    rep = copyables_report(alg)
+    rep = copyables_report(_checked(raw, tol)[1])
     data = {"input": name, "report": rep}
     _emit("copyables", data, args)
     return 0 if rep.lemma_holds else 1
 
 
-def cmd_tensor(args) -> int:
-    _require_text_or_structured(args)
-    tol = Tolerance(args.tolerance)
+def cmd_tensor(args, tol: Tolerance) -> int:
     name_a, raw_a = _resolve_raw(args.left)
     name_b, raw_b = _resolve_raw(args.right)
-    ga, alga = _resolved(raw_a)
-    gb, algb = _resolved(raw_b)
+    alga, algb = _resolved(raw_a)[1], _resolved(raw_b)[1]
     ta = tensor_algebras(alga, algb, tol)  # law-checks each component once
     data = {
         "left": name_a,
@@ -412,8 +396,8 @@ def cmd_tensor(args) -> int:
         "axioms": ta.axioms,
     }
     ok = ta.axioms.passed
-    fam_a = _family(ga, alga, tol, args.max_enum)
-    fam_b = _family(gb, algb, tol, args.max_enum)
+    fam_a = _family(alga, tol, args.max_enum)
+    fam_b = _family(algb, tol, args.max_enum)
     if len(fam_a) * len(fam_b) <= BI_ORDER_PAIR_CAP:
         bi = bi_order_check(ta, fam_a, fam_b, tol)
         data["bi_order"] = bi
@@ -531,7 +515,7 @@ def _bundle_fhilb(tol: Tolerance) -> tuple[dict, bool]:
 
 def _bundle_boolean(tol: Tolerance) -> tuple[dict, bool]:
     alg = basis_algebra(3)
-    points = mask_points(alg, zero_one_projections(alg, tol, 2**alg.carrier.size))
+    points = _family(alg, tol, 2**alg.carrier.size)
     poset = build_poset(alg, points, tol)
     rep = lattice_report(poset)
     masks = {p.name: k for k, p in enumerate(points)}
@@ -576,9 +560,7 @@ _BUNDLES = {
 }
 
 
-def cmd_counterexamples(args) -> int:
-    _require_text_or_structured(args)
-    tol = Tolerance(args.tolerance)
+def cmd_counterexamples(args, tol: Tolerance) -> int:
     names = list(_BUNDLES) if args.bundle == "all" else [args.bundle]
     bundles = {}
     all_ok = True
@@ -693,7 +675,9 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.format == "dot" and args.command != "lattice":
+            raise ParseError("dot output is only available for the lattice subcommand")
+        return args.func(args, Tolerance(args.tolerance))
     except LawViolation as exc:
         print(f"law violation: {exc}", file=sys.stderr)
         for v in exc.violations:

@@ -9,20 +9,21 @@ to_algebra turns a groupoid into a symmetric dagger Frobenius algebra on the
 rel backend: the carrier is the morphism set, multiplication relates the
 pair (f, g) to f after g on composable pairs, and the unit relates the
 monoidal point to every identity. Projections of that algebra are exactly
-the subgroupoids. enumerate_projections lists the projections of any rel
-algebra, groupoids (through enumerate_subgroupoids) and rel algebra
-documents alike, by Ganter-style Next-Closure; max_closed caps its closed
-sets. It lists those of a real fhilb algebra with nonnegative structure
-constants too (closure_applies says which), keeping the closed sets that
-projection_mask passes. The supports of every basis product e_i e_j and of
-every conjugate are packed once into int bitmasks: the closure reads them
-through byte tables, one lookup per byte of a closed set for each new
-member, and on rel the same tables decide exactly which closed sets are
-projections. Small carriers are cross-checked by a 0/1 projection scan: on
-fhilb zero_one_projections, on rel one (also brute_force_subgroupoids) that
-squares all 2^n supports at once by a highest-bit recurrence on a uint64
-array. Associativity is checked on an int composition table, and copyables
-by filtering an array of support bitmasks, both with numpy array operations.
+the subgroupoids, so one path serves both: enumerate_projections lists the
+projections of any rel algebra, a groupoid's and a rel algebra document's
+alike, by Ganter-style Next-Closure (enumerate_subgroupoids names them as
+subgroupoids); max_closed caps its closed sets. It lists those of a real
+fhilb algebra with nonnegative structure constants too (closure_applies
+says which), keeping the closed sets that projection_mask passes. The
+supports of every basis product e_i e_j and of every conjugate are packed
+once into int bitmasks: the closure reads them through byte tables, one
+lookup per byte of a closed set for each new member, and on rel the same
+tables decide exactly which closed sets are projections. Small carriers are
+cross-checked by a 0/1 projection scan: on fhilb zero_one_projections, on
+rel one (also brute_force_subgroupoids) that squares all 2^n supports at
+once by a highest-bit recurrence on a uint64 array. Associativity is
+checked on an int composition table, and copyables by filtering an array of
+support bitmasks, both with numpy array operations.
 """
 from __future__ import annotations
 
@@ -128,6 +129,12 @@ class Groupoid:
 # -- document validation ----------------------------------------------------
 
 
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} {value!r} is not a string")
+    return value
+
+
 def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]:
     if not isinstance(doc, dict):
         raise ParseError("groupoid document must be a mapping")
@@ -136,13 +143,13 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
             raise ParseError(f"groupoid document missing field {key!r}")
         if not isinstance(doc[key], (list, tuple)):
             raise ParseError(f"groupoid document field {key!r} is not a list")
-    objects = tuple(str(x) for x in doc["objects"])
+    objects = tuple(_name(x, "object name") for x in doc["objects"])
     if len(set(objects)) != len(objects):
         raise ParseError("duplicate object names")
     morphisms = []
     for entry in doc["morphisms"]:
         try:
-            m = Mor(str(entry["name"]), str(entry["dom"]), str(entry["cod"]))
+            m = Mor(*(_name(entry[k], f"morphism {k}") for k in ("name", "dom", "cod")))
         except (TypeError, KeyError) as exc:
             raise ParseError(f"malformed morphism entry {entry!r}") from exc
         if m.dom not in objects or m.cod not in objects:
@@ -155,8 +162,10 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
     for entry in doc["compose"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ParseError(f"compose entry {entry!r} is not a triple")
-        f, g, h = (str(x) for x in entry)
-        for nm in (f, g, h):
+        f, g, h = entry
+        for nm in entry:
+            if not isinstance(nm, str):
+                raise ParseError(f"compose entry name {nm!r} is not a string")
             if nm not in names:
                 raise ParseError(f"compose entry references unknown morphism {nm!r}")
         if (f, g) in table:
@@ -477,7 +486,7 @@ def disjoint_union(g: Groupoid, h: Groupoid) -> Groupoid:
 def to_algebra(g: Groupoid) -> FrobeniusAlgebra:
     """The groupoid algebra on rel; carrier labels are the morphism names."""
     n = len(g.morphisms)
-    carrier = rel_object(n, g.morphism_names() if n else None)
+    carrier = rel_object(n, g.morphism_names())
     f, gg, h = _table_indices(g.compose_table, g.index)
     mult = np.zeros((n, n * n), dtype=bool)
     mult[h, f * n + gg] = True  # e_f e_g = e_h; the pair (f, g) sits at f * n + g
@@ -786,6 +795,8 @@ def _component_masks(alg: FrobeniusAlgebra) -> list[int]:
     """The support of each block, by lowest member, where each product
     e_i e_j containing e_k links i, j and k."""
     n = alg.carrier.size
+    if not n:
+        return []
     m = alg.mult.payload.reshape(n, n, n)  # [k, i, j]
     link = m.any(0) | m.any(2).T | m.any(1).T  # i-j, i-k, j-k
     reach = (link | link.T | np.eye(n, dtype=bool)).astype(np.float32)

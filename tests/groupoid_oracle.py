@@ -21,6 +21,12 @@ from projlat import ParseError, Violation, related_pairs
 BRUTE_FORCE_LIMIT = 16
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} {value!r} is not a string")
+    return value
+
+
 def _parse(doc: dict) -> tuple[tuple, list[tuple[str, str, str]], dict]:
     """(objects, morphisms as (name, dom, cod), {(f, g): h}); ParseError at
     the first defect, in document order."""
@@ -31,13 +37,13 @@ def _parse(doc: dict) -> tuple[tuple, list[tuple[str, str, str]], dict]:
             raise ParseError(f"groupoid document missing field {key!r}")
         if not isinstance(doc[key], (list, tuple)):
             raise ParseError(f"groupoid document field {key!r} is not a list")
-    objects = tuple(str(x) for x in doc["objects"])
+    objects = tuple(_string(x, "object name") for x in doc["objects"])
     if len(set(objects)) != len(objects):
         raise ParseError("duplicate object names")
     morphisms = []
     for entry in doc["morphisms"]:
         try:
-            m = (str(entry["name"]), str(entry["dom"]), str(entry["cod"]))
+            m = tuple(_string(entry[k], f"morphism {k}") for k in ("name", "dom", "cod"))
         except (TypeError, KeyError) as exc:
             raise ParseError(f"malformed morphism entry {entry!r}") from exc
         if m[1] not in objects or m[2] not in objects:
@@ -50,9 +56,9 @@ def _parse(doc: dict) -> tuple[tuple, list[tuple[str, str, str]], dict]:
     for entry in doc["compose"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ParseError(f"compose entry {entry!r} is not a triple")
-        f, g, h = (str(x) for x in entry)
-        for nm in (f, g, h):
-            if nm not in names:
+        f, g, h = entry
+        for nm in entry:
+            if _string(nm, "compose entry name") not in names:
                 raise ParseError(f"compose entry references unknown morphism {nm!r}")
         if (f, g) in table:
             raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")

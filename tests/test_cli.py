@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -20,14 +21,19 @@ from projlat import (
     ResourceLimit,
     check_axioms,
     cyclic,
+    dihedral,
     dump_json,
+    enumerate_subgroupoids,
+    interval,
     klein4,
     load_json,
     pants_algebra,
     parse_report,
+    product,
     random_projection,
     rel_morphism,
     rel_object,
+    subgroupoid_points,
     tensor_objects,
     to_algebra,
     unit_object,
@@ -269,6 +275,34 @@ def test_algebra_document_gives_the_groupoid_output(command, name, tmp_path, cap
     assert outputs[0] == outputs[1]
 
 
+# every builtin groupoid, and the groupoid documents of the benchmark's mult
+# lattices, each with its compose list shuffled
+_GROUPOID_BUILTINS = ["klein4", "interval", "symmetric3", "quaternion8", "z2xz4", "two-intervals",
+                      *(f"cyclic{n}" for n in range(1, 17)), *(f"dihedral{n}" for n in range(3, 13))]
+_GROUPOID_DOCUMENTS = {
+    "z2x4.json": product(klein4(), klein4()),
+    "interval-x-klein4.json": product(interval(), klein4()),
+    "dihedral12.json": dihedral(12),
+}
+
+
+@pytest.mark.parametrize("name", _GROUPOID_BUILTINS + sorted(_GROUPOID_DOCUMENTS))
+def test_groupoid_family_is_its_subgroupoids(name, tmp_path):
+    """A groupoid's family is read off its algebra, as a rel algebra
+    document's is: its subgroupoids, point for point, in lectic order."""
+    spec = name
+    if name in _GROUPOID_DOCUMENTS:
+        doc = groupoid_to_doc(_GROUPOID_DOCUMENTS[name])
+        random.Random(name).shuffle(doc["compose"])
+        spec = str(tmp_path / name)
+        (tmp_path / name).write_text(dump_json(doc))
+    g, alg = cli._resolved(cli._resolve_raw(spec)[1])
+    want = subgroupoid_points(alg, enumerate_subgroupoids(g, alg))
+    got = cli._family(alg, DEFAULT_TOL, 10**6)
+    assert [p.name for p in got] == [p.name for p in want]
+    assert all(np.array_equal(p.vector, q.vector) for p, q in zip(got, want))
+
+
 @pytest.mark.parametrize(
     "command",
     [["validate"], ["projections"], ["lattice", "--order", "mult"], ["copyables"],
@@ -321,7 +355,8 @@ def test_tensor_checks_each_component_once(slot, broken, tmp_path, capsys, monke
 
 @pytest.mark.parametrize(
     "command",
-    [["projections"], ["lattice", "--order", "mult"], ["tensor", "cyclic2"]],
+    [["projections"], ["lattice", "--order", "mult"], ["tensor", "cyclic2"], ["copyables"],
+     ["validate"]],
     ids=lambda c: c[0],
 )
 def test_empty_carrier_algebra_document(command, tmp_path, capsys):
@@ -339,6 +374,55 @@ def test_empty_carrier_algebra_document(command, tmp_path, capsys):
     assert code == 0
     if command[0] == "projections":
         assert "count: 1" in out
+    if command[0] == "copyables":  # the empty set, named by its bits
+        assert "copyables: [s0]" in out and "lemma_holds: yes" in out
+
+
+_EMPTY_GROUPOID = {"objects": [], "morphisms": [], "compose": []}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["projections"], ["lattice", "--order", "mult"],
+     ["lattice", "--order", "inclusion"], ["lattice", "--order", "mult", "--format", "dot"],
+     ["lattice", "--order", "inclusion", "--format", "dot"], ["copyables"], ["tensor", "klein4"]],
+    ids=" ".join,
+)
+def test_empty_groupoid(command, tmp_path, capsys):
+    """The groupoid with no objects is valid; its one subgroupoid and one
+    copyable is the empty set {}, named by its (empty) set of labels."""
+    path = tmp_path / "empty.json"
+    path.write_text(dump_json(_EMPTY_GROUPOID))
+    code, out, err = run([command[0], str(path), *command[1:]], capsys)
+    assert (code, err) == (0, "")
+    if command[0] == "projections":
+        assert "count: 1" in out and "elements: [{}]" in out
+    if command[0] == "copyables":
+        assert "copyables: [{}]" in out and "lemma_holds: yes" in out
+    if "dot" in command:
+        assert '"{}";' in out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"objects": [["x"]], "morphisms": [], "compose": []},
+        {"objects": [5], "morphisms": [], "compose": []},
+        {"objects": ["x"], "morphisms": [{"name": 1, "dom": "x", "cod": "x"}],
+         "compose": [[1, 1, 1]]},
+        {"objects": ["x"], "morphisms": [{"name": ["e"], "dom": "x", "cod": "x"}],
+         "compose": [[["e"], ["e"], ["e"]]]},
+    ],
+    ids=["object-list", "object-int", "morphism-int", "morphism-list"],
+)
+@pytest.mark.parametrize("command", ["validate", "projections", "copyables"])
+def test_non_string_groupoid_names_are_parse_errors(command, doc, tmp_path, capsys):
+    """Names are never coerced: a name 1 is not the name "1"."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run([command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "is not a string" in err
 
 
 # The five rel algebras on carrier 2 that pass check_axioms: (mult pairs, unit pairs).
@@ -567,6 +651,22 @@ def test_dot_rejected_outside_lattice(capsys):
     code, _, err = run(["validate", "klein4", "--format", "dot"], capsys)
     assert code == 2
     assert "dot" in err
+
+
+_NOT_LATTICE = [["validate", "nosuch"], ["projections", "nosuch"], ["copyables", "nosuch"],
+                ["tensor", "nosuch", "nosuch"], ["counterexamples", "all"]]
+
+
+@pytest.mark.parametrize("command", _NOT_LATTICE, ids=lambda c: c[0])
+def test_option_rules_come_before_any_input(command, capsys):
+    """--format dot is refused on every subcommand but lattice, and then an
+    invalid --tolerance, both before any input is read."""
+    code, out, err = run([*command, "--tolerance", "-1", "--format", "dot"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: dot output is only available for the lattice subcommand\n"
+    code, out, err = run([*command, "--tolerance", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon must be a nonnegative float\n"
 
 
 # -- copyables --------------------------------------------------------------

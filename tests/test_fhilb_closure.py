@@ -144,7 +144,7 @@ def test_other_fhilb_algebras_take_the_scan(name, alg, want):
     with pytest.raises(BackendMismatch):
         enumerate_projections(alg, tol=TOL)
     assert zero_one_projections(alg, TOL, 2**alg.carrier.size) == want
-    family = cli._family(None, alg, TOL, 10**6)
+    family = cli._family(alg, TOL, 10**6)
     assert [p.name for p in family] == [p.name for p in mask_points(alg, want)]
 
 

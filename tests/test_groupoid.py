@@ -11,6 +11,7 @@ from projlat import (
     LawViolation,
     ParseError,
     ResourceLimit,
+    Subgroupoid,
     brute_force_subgroupoids,
     canonical_subset_name,
     connected_components,
@@ -81,6 +82,31 @@ def test_unknown_names_are_parse_errors():
     doc["morphisms"].append({"name": "b", "dom": "x", "cod": "nowhere"})
     with pytest.raises(ParseError):
         validate(doc)
+
+
+@pytest.mark.parametrize("value", [1, ["x"], None], ids=["int", "list", "null"])
+@pytest.mark.parametrize("field", ["object", "name", "dom", "cod", "compose"])
+def test_non_string_names_are_parse_errors(field, value):
+    """Names are never coerced: 1 is not the name "1", nor ["x"] the name "['x']"."""
+    doc = small_doc()
+    if field == "object":
+        doc["objects"].append(value)
+    elif field == "compose":
+        doc["compose"][0][1] = value
+    else:
+        doc["morphisms"][1][field] = value
+    for check in (validate, groupoid_violations, groupoid_oracle.law_violations):
+        with pytest.raises(ParseError, match="is not a string"):
+            check(doc)
+
+
+def test_empty_groupoid_has_one_subgroupoid_and_one_copyable():
+    g = validate({"objects": [], "morphisms": [], "compose": []})
+    alg = to_algebra(g)
+    assert alg.carrier.labels == ()
+    assert enumerate_subgroupoids(g) == brute_force_subgroupoids(g) == [Subgroupoid(frozenset())]
+    assert [p.name for p in enumerate_copyables(alg)] == ["{}"]
+    assert copyables_report(alg).lemma_holds
 
 
 def test_partial_table_is_a_totality_violation():

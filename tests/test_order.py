@@ -609,7 +609,7 @@ def builtin_posets() -> dict:
         g, alg = cli._resolved(cli._builtin(name))
         if g is not None:
             out[f"{name}-inclusion"] = inclusion_poset(alg, enumerate_subgroupoids(g), TOL)
-        family = cli._family(g, alg, TOL, 10**6)
+        family = cli._family(alg, TOL, 10**6)
         if len(family) <= 64:
             out[f"{name}-mult"] = build_poset(alg, family, TOL)
     return out
