@@ -291,9 +291,7 @@ def _sample_matrix_projections(alg: FrobeniusAlgebra, tol: Tolerance, seed: int)
 
 def cmd_validate(args, tol: Tolerance) -> int:
     name, raw = _resolve_raw(args.input)
-    if isinstance(raw, Groupoid):
-        raw = raw.to_doc()
-    if isinstance(raw, dict):
+    if isinstance(raw, (dict, Groupoid)):
         backend = REL
         violations = groupoid_violations(raw)
         data = {

@@ -4,6 +4,10 @@ A groupoid document lists objects, morphisms with dom/cod, and a composition
 table [[f, g, h], ...] meaning f after g equals h (defined exactly when
 dom f = cod g). Identities and inverses are inferred and validated, or
 declared and cross-checked; every law failure is reported with a witness.
+A Groupoid is held as int arrays alone: dom and cod over object indices
+and comp[f, g], -1 where the pair does not compose. A document's names are
+mapped to indices once; products, disjoint unions and the builtin groups
+build the arrays directly, and all of them pass the same law check, _laws.
 
 to_algebra turns a groupoid into a symmetric dagger Frobenius algebra on the
 rel backend: the carrier is the morphism set, multiplication relates the
@@ -28,7 +32,7 @@ support bitmasks, both with numpy array operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -76,54 +80,65 @@ class Mor:
 
 
 class Groupoid:
-    """A validated finite groupoid. Construct via validate() or a fixture."""
+    """A validated finite groupoid, held as int arrays over morphism indices:
+    dom[m] and cod[m] index objects, and comp[f, g] is f after g, -1 where
+    dom f != cod g. Construct via validate(), product(), disjoint_union() or
+    a fixture."""
 
     def __init__(
         self,
         objects: tuple[str, ...],
         morphisms: tuple[Mor, ...],
-        compose_table: dict[tuple[str, str], str],
+        dom: np.ndarray,
+        cod: np.ndarray,
+        comp: np.ndarray,
         identities: dict[str, str],
         inverses: dict[str, str],
     ):
         self.objects = objects
         self.morphisms = morphisms
-        self.compose_table = compose_table
+        self.dom, self.cod, self.comp = dom, cod, comp
         self.identities = identities
         self.inverses = inverses
         self.index = {m.name: i for i, m in enumerate(morphisms)}
-        self._by_name = {m.name: m for m in morphisms}
 
     def mor(self, name: str) -> Mor:
-        return self._by_name[name]
+        return self.morphisms[self.index[name]]
 
     def morphism_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.morphisms)
 
     def compose(self, f: str, g: str) -> str:
         """f after g."""
-        try:
-            return self.compose_table[(f, g)]
-        except KeyError:
-            raise ParseError(f"morphisms {f!r} and {g!r} are not composable") from None
+        i, j = self.index.get(f), self.index.get(g)
+        if i is None or j is None or self.comp[i, j] < 0:
+            raise ParseError(f"morphisms {f!r} and {g!r} are not composable")
+        return self.morphisms[self.comp[i, j]].name
 
     @property
     def is_group(self) -> bool:
         return len(self.objects) == 1
 
     def to_doc(self) -> dict:
+        names = self.morphism_names()
         return {
             "objects": list(self.objects),
             "morphisms": [
                 {"name": m.name, "dom": m.dom, "cod": m.cod} for m in self.morphisms
             ],
-            "compose": sorted([f, g, h] for (f, g), h in self.compose_table.items()),
+            "compose": sorted([names[i] for i in entry] for entry in _entries(self.comp).tolist()),
             "identities": dict(sorted(self.identities.items())),
             "inverses": dict(sorted(self.inverses.items())),
         }
 
     def __repr__(self):
         return f"Groupoid({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
+
+
+def _entries(comp: np.ndarray) -> np.ndarray:
+    """The rows (f, g, f after g) of a composition table, in row-major order."""
+    f, g = np.nonzero(comp >= 0)
+    return np.stack([f, g, comp[f, g]], axis=1)
 
 
 # -- document validation ----------------------------------------------------
@@ -135,7 +150,19 @@ def _name(value, what: str) -> str:
     return value
 
 
-def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]:
+def _distinct(names, what: str) -> dict[str, int]:
+    """The index of each name; ParseError if two are equal."""
+    index = {nm: i for i, nm in enumerate(names)}
+    if len(index) != len(names):
+        raise ParseError(f"duplicate {what} names")
+    return index
+
+
+def _parse_structure(doc: dict) -> tuple:
+    """(objects, morphisms, dom, cod, entries), names mapped to indices once:
+    dom and cod index objects, and row k of entries is the k-th compose
+    entry as morphism indices (f, g, h). ParseError at the first defect, in
+    document order."""
     if not isinstance(doc, dict):
         raise ParseError("groupoid document must be a mapping")
     for key in ("objects", "morphisms", "compose"):
@@ -144,21 +171,18 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
         if not isinstance(doc[key], (list, tuple)):
             raise ParseError(f"groupoid document field {key!r} is not a list")
     objects = tuple(_name(x, "object name") for x in doc["objects"])
-    if len(set(objects)) != len(objects):
-        raise ParseError("duplicate object names")
+    where = _distinct(objects, "object")
     morphisms = []
     for entry in doc["morphisms"]:
         try:
             m = Mor(*(_name(entry[k], f"morphism {k}") for k in ("name", "dom", "cod")))
         except (TypeError, KeyError) as exc:
             raise ParseError(f"malformed morphism entry {entry!r}") from exc
-        if m.dom not in objects or m.cod not in objects:
+        if m.dom not in where or m.cod not in where:
             raise ParseError(f"morphism {m.name!r} references unknown object")
         morphisms.append(m)
-    names = {m.name for m in morphisms}
-    if len(names) != len(morphisms):
-        raise ParseError("duplicate morphism names")
-    table = {}
+    index = _distinct([m.name for m in morphisms], "morphism")
+    seen = set()
     for entry in doc["compose"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ParseError(f"compose entry {entry!r} is not a triple")
@@ -166,16 +190,19 @@ def _parse_structure(doc: dict) -> tuple[tuple[str, ...], tuple[Mor, ...], dict]
         for nm in entry:
             if not isinstance(nm, str):
                 raise ParseError(f"compose entry name {nm!r} is not a string")
-            if nm not in names:
+            if nm not in index:
                 raise ParseError(f"compose entry references unknown morphism {nm!r}")
-        if (f, g) in table:
+        if (f, g) in seen:
             raise ParseError(f"duplicate compose entry for ({f!r}, {g!r})")
-        table[(f, g)] = h
-    return objects, tuple(morphisms), table
+        seen.add((f, g))
+    ids = map(index.__getitem__, chain.from_iterable(doc["compose"]))
+    entries = np.fromiter(ids, dtype=np.intp, count=3 * len(seen)).reshape(-1, 3)
+    dom = np.array([where[m.dom] for m in morphisms], dtype=np.intp)
+    cod = np.array([where[m.cod] for m in morphisms], dtype=np.intp)
+    return objects, tuple(morphisms), dom, cod, entries
 
 
-def _declared(doc: dict, key: str) -> Optional[dict]:
-    value = doc.get(key)
+def _declared(value, key: str) -> Optional[dict]:
     if value is not None and not isinstance(value, dict):
         raise ParseError(f"groupoid document field {key!r} is not a mapping")
     return value
@@ -185,48 +212,47 @@ _DECLARED = {"identities": ("object", "identity"), "inverses": ("morphism", "inv
 
 
 def _declared_index(declared: dict, field: str, key: str, index: dict[str, int]) -> int:
-    """The index of the morphism declared for key; ParseError if none or unknown."""
+    """The index of the morphism declared for key; ParseError if none, not a
+    string or unknown."""
     owner, what = _DECLARED[field]
     if key not in declared:
         raise ParseError(f"declared {field} missing {owner} {key!r}")
-    name = str(declared[key])
+    name = _name(declared[key], f"declared {what}")
     if name not in index:
         raise ParseError(f"declared {what} {name!r} unknown")
     return index[name]
 
 
-def _table_indices(table: dict, index: dict[str, int]) -> list[np.ndarray]:
-    """The f, g and h indices of the entries (f, g) -> h of a composition table."""
-    columns = (map(itemgetter(0), table), map(itemgetter(1), table), table.values())
-    return [np.array(list(map(index.__getitem__, col)), dtype=np.intp) for col in columns]
+def _laws(
+    objects: tuple[str, ...],
+    morphisms: tuple[Mor, ...],
+    dom: np.ndarray,
+    cod: np.ndarray,
+    entries: np.ndarray,
+    declared_ids=None,
+    declared_inv=None,
+) -> tuple[list[Violation], Optional[Groupoid]]:
+    """One search: the violations, and the groupoid when there are none.
 
-
-def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
-    """One parse and one search: the violations, and the groupoid when there are none.
-
-    Names are mapped to indices once; every law is decided on int arrays
-    (dom, cod, the composition table comp[f, g]), and a Violation is built
-    only for a hit, in the order of a loop over the document.
+    Every law is decided on int arrays (dom, cod, the rows (f, g, h) of
+    entries and the composition table comp[f, g] built from them), and a
+    Violation is built only for a hit, in the order of a loop over the
+    entries. declared_ids and declared_inv are a document's identities and
+    inverses fields, None where it has none.
     """
-    objects, morphisms, table = _parse_structure(doc)
     names = [m.name for m in morphisms]
-    index = {nm: i for i, nm in enumerate(names)}
-    where = {x: i for i, x in enumerate(objects)}
     n = len(names)
-    dom = np.array([where[m.dom] for m in morphisms], dtype=np.intp)
-    cod = np.array([where[m.cod] for m in morphisms], dtype=np.intp)
-    pairs = list(table)
-    f, g, h = _table_indices(table, index)
+    f, g, h = entries.T
     loose = dom[f] != cod[g]
     mistyped = ~loose & ((dom[h] != dom[g]) | (cod[h] != cod[f]))
     violations: list[Violation] = []
     for k in np.flatnonzero(loose | mistyped).tolist():
-        fg = pairs[k]
+        fg = names[f[k]], names[g[k]]
         if loose[k]:
             violations.append(Violation("composability", fg, "table entry for a non-composable pair"))
         else:
             violations.append(
-                Violation("composition-typing", (*fg, table[fg]), "composite has wrong dom/cod")
+                Violation("composition-typing", (*fg, names[h[k]]), "composite has wrong dom/cod")
             )
     comp = np.full((n, n), -1, dtype=np.min_scalar_type(-n * n - 1))  # f after g, -1 where none
     comp[f, g] = h
@@ -261,7 +287,8 @@ def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
     first_unit: dict[int, int] = {}
     for e in np.flatnonzero(is_unit).tolist():
         first_unit.setdefault(int(dom[e]), e)
-    declared_ids = _declared(doc, "identities")
+    index = dict(zip(names, range(n)))
+    declared_ids = _declared(declared_ids, "identities")
     identities: dict[str, str] = {}
     unit_of = np.full(len(objects), -1, dtype=np.intp)
     for x, obj in enumerate(objects):
@@ -279,7 +306,7 @@ def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
     # inverts[m, g]: g.m is the identity of dom m and m.g that of cod m
     id_dom, id_cod = unit_of[dom], unit_of[cod]
     inverts = (comp.T == id_dom[:, None]) & (comp == id_cod[:, None])
-    declared_inv = _declared(doc, "inverses")
+    declared_inv = _declared(declared_inv, "inverses")
     inverses: dict[str, str] = {}
     for m in np.flatnonzero((id_dom >= 0) & (id_cod >= 0)).tolist():  # else an identity violation
         if declared_inv is not None:
@@ -292,17 +319,25 @@ def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
             violations.append(Violation("inverse", (names[m],), "morphism has no two-sided inverse"))
     if violations:
         return violations, None
-    return [], Groupoid(objects, morphisms, table, identities, inverses)
+    return [], Groupoid(objects, morphisms, dom, cod, comp, identities, inverses)
 
 
-def groupoid_violations(doc: dict) -> list[Violation]:
-    """All law violations of a structurally well-formed document."""
+def _law_check(doc: dict) -> tuple[list[Violation], Optional[Groupoid]]:
+    """One parse and one search: the violations, and the groupoid when there are none."""
+    structure = _parse_structure(doc)
+    return _laws(*structure, doc.get("identities"), doc.get("inverses"))
+
+
+def groupoid_violations(doc: dict | Groupoid) -> list[Violation]:
+    """All law violations of a structurally well-formed document, or of a
+    groupoid's arrays with its identities and inverses as declared."""
+    if isinstance(doc, Groupoid):
+        g, entries = doc, _entries(doc.comp)
+        return _laws(g.objects, g.morphisms, g.dom, g.cod, entries, g.identities, g.inverses)[0]
     return _law_check(doc)[0]
 
 
-def validate(doc: dict) -> Groupoid:
-    """Parse and law-check a groupoid document; raise LawViolation on failure."""
-    violations, g = _law_check(doc)
+def _lawful(violations: list[Violation], g: Optional[Groupoid]) -> Groupoid:
     if violations:
         raise LawViolation(
             f"groupoid document breaks {len(violations)} law(s): "
@@ -312,35 +347,34 @@ def validate(doc: dict) -> Groupoid:
     return g
 
 
+def validate(doc: dict) -> Groupoid:
+    """Parse and law-check a groupoid document; raise LawViolation on failure."""
+    return _lawful(*_law_check(doc))
+
+
 # -- fixtures ---------------------------------------------------------------
 
 
-def _group_doc(names: list[str], prod: Callable[[str, str], str]) -> dict:
-    return {
-        "objects": ["*"],
-        "morphisms": [{"name": n, "dom": "*", "cod": "*"} for n in names],
-        "compose": [[f, g, prod(f, g)] for f in names for g in names],
-    }
+def _group(names: list[str], prod: Callable[[int, int], int]) -> Groupoid:
+    """The one-object groupoid on names where names[i] after names[j] is names[prod(i, j)]."""
+    n = len(names)
+    entries = np.array([(i, j, prod(i, j)) for i in range(n) for j in range(n)], dtype=np.intp)
+    loops = np.zeros(n, dtype=np.intp)  # dom and cod: the one object
+    morphisms = tuple(Mor(x, "*", "*") for x in names)
+    return _lawful(*_laws(("*",), morphisms, loops, loops, entries))
 
 
 def cyclic(n: int) -> Groupoid:
     """The cyclic group of order n as a one-object groupoid."""
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
-    names = [str(i) for i in range(n)]
-    return validate(_group_doc(names, lambda a, b: str((int(a) + int(b)) % n)))
+    return _group([str(i) for i in range(n)], lambda a, b: (a + b) % n)
 
 
 def klein4() -> Groupoid:
     """Z2 x Z2 with elements named as pairs, componentwise addition."""
     names = [f"({a},{b})" for a in (0, 1) for b in (0, 1)]
-
-    def prod(x: str, y: str) -> str:
-        a, b = int(x[1]), int(x[3])
-        c, d = int(y[1]), int(y[3])
-        return f"({a ^ c},{b ^ d})"
-
-    return validate(_group_doc(names, prod))
+    return _group(names, lambda x, y: x ^ y)  # index 2a + b
 
 
 def dihedral(n: int) -> Groupoid:
@@ -348,48 +382,27 @@ def dihedral(n: int) -> Groupoid:
     if n < 1:
         raise ValueError("dihedral parameter must be >= 1")
 
-    def decode(x: str) -> tuple[int, int]:
-        return int(x[1:]), 0 if x[0] == "r" else 1
+    def prod(x: int, y: int) -> int:  # index e * n + k for r{k} (e = 0) and s{k} (e = 1)
+        (e, k), (f, m) = divmod(x, n), divmod(y, n)
+        return f * n + (k + m) % n if e == 0 else (1 - f) * n + (k - m) % n
 
-    def encode(k: int, e: int) -> str:
-        return f"{'r' if e == 0 else 's'}{k % n}"
-
-    def prod(x: str, y: str) -> str:
-        k, e = decode(x)
-        m, f = decode(y)
-        if e == 0:
-            return encode(k + m, f)
-        return encode(k - m, 1 - f)
-
-    names = [encode(k, e) for e in (0, 1) for k in range(n)]
-    return validate(_group_doc(names, prod))
+    return _group([f"{'rs'[e]}{k}" for e in (0, 1) for k in range(n)], prod)
 
 
 def quaternion8() -> Groupoid:
     """The quaternion group {1, -1, i, -i, j, -j, k, -k}."""
-    base = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
 
-    def split(x: str) -> tuple[int, str]:
-        return (-1, x[1:]) if x.startswith("-") else (1, x)
+    def prod(x: int, y: int) -> int:  # index 2 * unit + sign for the units 1, i, j, k
+        (a, s), (b, t) = divmod(x, 2), divmod(y, 2)
+        if a == 0 or b == 0:
+            c, sign = a + b, 0
+        elif a == b:
+            c, sign = 0, 1  # i^2 = j^2 = k^2 = -1
+        else:
+            c, sign = 6 - a - b, int((b - a) % 3 != 1)  # ij = k, jk = i, ki = j; reversed, -
+        return 2 * c + (s ^ t ^ sign)
 
-    def join(sign: int, sym: str) -> str:
-        return sym if sign == 1 else f"-{sym}"
-
-    def prod(x: str, y: str) -> str:
-        sx, bx = split(x)
-        sy, by = split(y)
-        s, b = base[(bx, by)]
-        return join(sx * sy * s, b)
-
-    names = [join(s, b) for b in ("1", "i", "j", "k") for s in (1, -1)]
-    return validate(_group_doc(names, prod))
+    return _group([f"{s}{u}" for u in "1ijk" for s in ("", "-")], prod)
 
 
 def symmetric3() -> Groupoid:
@@ -402,13 +415,13 @@ def symmetric3() -> Groupoid:
         "(012)": (1, 2, 0),
         "(021)": (2, 0, 1),
     }
-    names_by_perm = {v: k for k, v in perms.items()}
+    maps = list(perms.values())
 
-    def prod(x: str, y: str) -> str:
-        f, g = perms[x], perms[y]
-        return names_by_perm[tuple(f[g[i]] for i in range(3))]
+    def prod(x: int, y: int) -> int:
+        f, g = maps[x], maps[y]
+        return maps.index(tuple(f[g[i]] for i in range(3)))
 
-    return validate(_group_doc(list(perms), prod))
+    return _group(list(perms), prod)
 
 
 def interval() -> Groupoid:
@@ -438,46 +451,33 @@ def interval() -> Groupoid:
 
 def product(g: Groupoid, h: Groupoid) -> Groupoid:
     """Componentwise product; morphism order is row-major over (g, h) pairs."""
-    doc = {
-        "objects": [f"({x},{u})" for x in g.objects for u in h.objects],
-        "morphisms": [
-            {
-                "name": f"({a.name},{b.name})",
-                "dom": f"({a.dom},{b.dom})",
-                "cod": f"({a.cod},{b.cod})",
-            }
-            for a in g.morphisms
-            for b in h.morphisms
-        ],
-        "compose": [
-            [f"({f1},{g1})", f"({f2},{g2})", f"({h1},{h2})"]
-            for (f1, f2), h1 in g.compose_table.items()
-            for (g1, g2), h2 in h.compose_table.items()
-        ],
-    }
-    return validate(doc)
+    objects = tuple(f"({x},{u})" for x in g.objects for u in h.objects)
+    morphisms = tuple(
+        Mor(f"({a.name},{b.name})", f"({a.dom},{b.dom})", f"({a.cod},{b.cod})")
+        for a in g.morphisms
+        for b in h.morphisms
+    )
+    _distinct(objects, "object")
+    _distinct([m.name for m in morphisms], "morphism")
+    width, size = len(h.objects), len(h.morphisms)  # (x, u) sits at x * width + u
+    dom = (g.dom[:, None] * width + h.dom).ravel()
+    cod = (g.cod[:, None] * width + h.cod).ravel()
+    entries = (_entries(g.comp)[:, None] * size + _entries(h.comp)).reshape(-1, 3)  # all pairs
+    return _lawful(*_laws(objects, morphisms, dom, cod, entries))
 
 
 def disjoint_union(g: Groupoid, h: Groupoid) -> Groupoid:
     """Side-by-side union with L./R. prefixes to keep names apart."""
-    doc = {
-        "objects": [f"L.{x}" for x in g.objects] + [f"R.{x}" for x in h.objects],
-        "morphisms": [
-            {"name": f"L.{m.name}", "dom": f"L.{m.dom}", "cod": f"L.{m.cod}"}
-            for m in g.morphisms
-        ]
-        + [
-            {"name": f"R.{m.name}", "dom": f"R.{m.dom}", "cod": f"R.{m.cod}"}
-            for m in h.morphisms
-        ],
-        "compose": [
-            [f"L.{f}", f"L.{g2}", f"L.{h2}"] for (f, g2), h2 in g.compose_table.items()
-        ]
-        + [
-            [f"R.{f}", f"R.{g2}", f"R.{h2}"] for (f, g2), h2 in h.compose_table.items()
-        ],
-    }
-    return validate(doc)
+    objects = tuple(f"L.{x}" for x in g.objects) + tuple(f"R.{x}" for x in h.objects)
+    morphisms = tuple(
+        Mor(f"{side}.{m.name}", f"{side}.{m.dom}", f"{side}.{m.cod}")
+        for side, k in (("L", g), ("R", h))
+        for m in k.morphisms
+    )
+    shift = len(g.objects)
+    dom, cod = np.concatenate([g.dom, h.dom + shift]), np.concatenate([g.cod, h.cod + shift])
+    entries = np.concatenate([_entries(g.comp), _entries(h.comp) + len(g.morphisms)])
+    return _lawful(*_laws(objects, morphisms, dom, cod, entries))
 
 
 # -- the relational algebra -------------------------------------------------
@@ -487,9 +487,10 @@ def to_algebra(g: Groupoid) -> FrobeniusAlgebra:
     """The groupoid algebra on rel; carrier labels are the morphism names."""
     n = len(g.morphisms)
     carrier = rel_object(n, g.morphism_names())
-    f, gg, h = _table_indices(g.compose_table, g.index)
+    flat = g.comp.ravel()  # the pair (f, g) sits at f * n + g
+    pairs = np.flatnonzero(flat >= 0)
     mult = np.zeros((n, n * n), dtype=bool)
-    mult[h, f * n + gg] = True  # e_f e_g = e_h; the pair (f, g) sits at f * n + g
+    mult[flat[pairs], pairs] = True  # e_f e_g = e_(f after g)
     unit_pairs = {(0, g.index[e]) for e in g.identities.values()}
     return FrobeniusAlgebra(
         carrier,
@@ -569,7 +570,8 @@ class _Closure:
     def __init__(self, alg: FrobeniusAlgebra):
         n = alg.carrier.size
         self.n, self.nbytes = n, (n + 7) // 8
-        pairs, self.require = _support_masks(alg)
+        self.supports = _support_masks(alg)
+        pairs, self.require = self.supports
         both = np.zeros((n, self.nbytes * 8), dtype=object)
         both[:, :n] = np.array(pairs, dtype=object).reshape(n, n)
         both = both.reshape(n, self.nbytes, 8)
@@ -639,14 +641,15 @@ def _next_closure_masks(ctx: _Closure, max_closed: int) -> Iterator[int]:
         yield a
 
 
-def _scanned_masks(alg: FrobeniusAlgebra) -> list[int]:
+def _scanned_masks(alg: FrobeniusAlgebra, supports=None) -> list[int]:
     """The 0/1 projection scan, in lectic order: every support S with
     S.S = S and conj(S) = S. Both are built over all 2^n masks at once, a
     mask S + t with highest bit t from S: sq(S + t) = sq(S) | t.t | the
-    union over a in S of t.a | a.t, and conj(S + t) = conj(S) | conj(t)."""
+    union over a in S of t.a | a.t, and conj(S + t) = conj(S) | conj(t).
+    supports is _support_masks(alg) where the caller already holds it."""
     n = alg.carrier.size
     check_scan_size(n, 2**BRUTE_FORCE_LIMIT)
-    both, conj = _support_masks(alg)
+    both, conj = supports or _support_masks(alg)
     sq = np.zeros(1 << n, np.uint64)
     cj = np.zeros(1 << n, np.uint64)
     for t in range(n):
@@ -719,7 +722,7 @@ def enumerate_projections(
         masks = [m for m, ok in zip(closed, keep.tolist()) if ok]
     if cross_check or cross_check is None and n <= BRUTE_FORCE_LIMIT:
         if alg.backend == REL:
-            oracle = _scanned_masks(alg)
+            oracle = _scanned_masks(alg, ctx.supports)
         else:
             oracle = zero_one_projections(alg, tol, 2**BRUTE_FORCE_LIMIT)
         if oracle != masks:
@@ -775,12 +778,11 @@ class _UnionFind:
 
 def _component_name_sets(g: Groupoid) -> list[frozenset[str]]:
     uf = _UnionFind(len(g.objects))
-    obj_index = {x: i for i, x in enumerate(g.objects)}
-    for m in g.morphisms:
-        uf.union(obj_index[m.dom], obj_index[m.cod])
+    for a, b in zip(g.dom.tolist(), g.cod.tolist()):
+        uf.union(a, b)
     blocks: dict[int, set[str]] = {}
-    for m in g.morphisms:
-        blocks.setdefault(uf.find(obj_index[m.dom]), set()).add(m.name)
+    for m, x in zip(g.morphisms, g.dom.tolist()):
+        blocks.setdefault(uf.find(x), set()).add(m.name)
     ordered = sorted(blocks.items(), key=lambda kv: kv[0])
     return [frozenset(names) for _, names in ordered]
 
@@ -922,20 +924,17 @@ def copyables_report(alg: FrobeniusAlgebra) -> CopyablesReport:
 
 def is_abelian(g: Groupoid) -> bool:
     """Every composable pair commutes, composability included."""
-    for (f, gg), h in g.compose_table.items():
-        if (gg, f) not in g.compose_table or g.compose_table[(gg, f)] != h:
-            return False
-    return True
+    return bool((g.comp == g.comp.T).all())
 
 
 def element_order(g: Groupoid, name: str) -> int:
     if not g.is_group:
         raise ValueError("element orders are defined for one-object groupoids")
-    e = next(iter(g.identities.values()))
-    k = 1
-    acc = name
+    e = g.index[next(iter(g.identities.values()))]
+    row = g.comp[g.index[name]].tolist()  # row[m] is name after m
+    k, acc = 1, g.index[name]
     while acc != e:
-        acc = g.compose(name, acc)
+        acc = row[acc]
         k += 1
         if k > len(g.morphisms):
             raise LawViolation("element order exceeds group order", [])

@@ -1,14 +1,17 @@
-"""Loop-by-loop references for the groupoid law check, the copyables scan
-and the Next-Closure closure.
+"""Loop-by-loop references for the groupoid law check, products and
+disjoint unions, the group predicates, the copyables scan and the
+Next-Closure closure.
 
 law_violations is the name-keyed law check: it walks the compose list, the
 pairs of morphisms and each object's and morphism's candidates with dict
 lookups by name, and associativity_violations walks every composable triple
 (f, g, h) in three nested loops and compares (f.g).h with f.(g.h) by name.
-copyable_masks tests one support bitmask at a time, product by product, with
-Python integers. PairClosure closes a set member by member, testing each
-product pair of the structure tensor. So they share neither the int arrays
-of groupoid._law_check, nor the uint64 mask arrays of
+product_doc and disjoint_union_doc format every compose triple of a product
+or union as a string document, and is_abelian and element_order walk a
+name-keyed table. copyable_masks tests one support bitmask at a time,
+product by product, with Python integers. PairClosure closes a set member
+by member, testing each product pair of the structure tensor. So they share
+neither the int arrays of groupoid._laws, nor the uint64 mask arrays of
 groupoid.enumerate_copyables, nor the packed support masks and byte tables
 of groupoid._Closure. They are slow and meant for small inputs.
 """
@@ -97,7 +100,7 @@ def law_violations(doc: dict) -> list[Violation]:
         if declared is not None:
             if x not in declared:
                 raise ParseError(f"declared identities missing object {x!r}")
-            candidates = [str(declared[x])]
+            candidates = [_string(declared[x], "declared identity")]
             if candidates[0] not in types:
                 raise ParseError(f"declared identity {candidates[0]!r} unknown")
         else:
@@ -117,7 +120,7 @@ def law_violations(doc: dict) -> list[Violation]:
         if declared is not None:
             if m not in declared:
                 raise ParseError(f"declared inverses missing morphism {m!r}")
-            candidates = [str(declared[m])]
+            candidates = [_string(declared[m], "declared inverse")]
             if candidates[0] not in types:
                 raise ParseError(f"declared inverse {candidates[0]!r} unknown")
         else:
@@ -133,8 +136,8 @@ def law_violations(doc: dict) -> list[Violation]:
 def associativity_violations(doc: dict) -> list[Violation]:
     """The associativity violations of a document that passes the
     composability, typing and totality checks, in (f, g, h) loop order."""
-    names = [str(m["name"]) for m in doc["morphisms"]]
-    table = {(str(f), str(g)): str(h) for f, g, h in doc["compose"]}
+    names = [m["name"] for m in doc["morphisms"]]
+    table = {(f, g): h for f, g, h in doc["compose"]}
     out = []
     for f in names:
         for g in names:
@@ -149,6 +152,67 @@ def associativity_violations(doc: dict) -> list[Violation]:
                     witness = (f, g, h, lhs, rhs)
                     out.append(Violation("associativity", witness, "(f.g).h != f.(g.h)"))
     return out
+
+
+def _table(g) -> dict[tuple[str, str], str]:
+    """{(f, g): f after g} of a groupoid, by name, read from its document."""
+    return {(f, gg): h for f, gg, h in g.to_doc()["compose"]}
+
+
+def product_doc(g, h) -> dict:
+    """The componentwise product as a string document: morphism order
+    row-major over (g, h) pairs, every pair of compose entries formatted."""
+    return {
+        "objects": [f"({x},{u})" for x in g.objects for u in h.objects],
+        "morphisms": [
+            {
+                "name": f"({a.name},{b.name})",
+                "dom": f"({a.dom},{b.dom})",
+                "cod": f"({a.cod},{b.cod})",
+            }
+            for a in g.morphisms
+            for b in h.morphisms
+        ],
+        "compose": [
+            [f"({f1},{g1})", f"({f2},{g2})", f"({h1},{h2})"]
+            for (f1, f2), h1 in _table(g).items()
+            for (g1, g2), h2 in _table(h).items()
+        ],
+    }
+
+
+def disjoint_union_doc(g, h) -> dict:
+    """The side-by-side union as a string document, names prefixed L. and R."""
+    return {
+        "objects": [f"{side}.{x}" for side, k in (("L", g), ("R", h)) for x in k.objects],
+        "morphisms": [
+            {"name": f"{side}.{m.name}", "dom": f"{side}.{m.dom}", "cod": f"{side}.{m.cod}"}
+            for side, k in (("L", g), ("R", h))
+            for m in k.morphisms
+        ],
+        "compose": [
+            [f"{side}.{f}", f"{side}.{f2}", f"{side}.{h2}"]
+            for side, k in (("L", g), ("R", h))
+            for (f, f2), h2 in _table(k).items()
+        ],
+    }
+
+
+def is_abelian(g) -> bool:
+    """Every composable pair commutes, composability included, by name."""
+    table = _table(g)
+    return all(table.get((b, a)) == h for (a, b), h in table.items())
+
+
+def element_order(g, name: str) -> int:
+    """The least k with name^k the identity, by repeated composition by name."""
+    table = _table(g)
+    (e,) = g.identities.values()
+    k, acc = 1, name
+    while acc != e:
+        acc = table[(name, acc)]
+        k += 1
+    return k
 
 
 def products(alg) -> list[tuple[int, int, int]]:

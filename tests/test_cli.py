@@ -827,6 +827,20 @@ def test_groupoid_algebra_is_built_once_per_input(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_validate_checks_a_builtin_groupoid_without_a_document(monkeypatch, capsys):
+    """validate on a builtin groupoid law-checks its arrays; it neither
+    writes the groupoid out as a document nor parses one."""
+
+    def refused(*args):
+        raise AssertionError("string document round trip")
+
+    monkeypatch.setattr(groupoid.Groupoid, "to_doc", refused)
+    monkeypatch.setattr(groupoid, "_parse_structure", refused)
+    for name in ("klein4", "z2xz4", "dihedral12"):  # groups and a product, built as arrays
+        assert main(["validate", name, "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["data"]["passed"] is True
+
+
 # -- the command line reader against argparse --------------------------------
 
 

@@ -85,7 +85,9 @@ def test_unknown_names_are_parse_errors():
 
 
 @pytest.mark.parametrize("value", [1, ["x"], None], ids=["int", "list", "null"])
-@pytest.mark.parametrize("field", ["object", "name", "dom", "cod", "compose"])
+@pytest.mark.parametrize(
+    "field", ["object", "name", "dom", "cod", "compose", "identity", "inverse"]
+)
 def test_non_string_names_are_parse_errors(field, value):
     """Names are never coerced: 1 is not the name "1", nor ["x"] the name "['x']"."""
     doc = small_doc()
@@ -93,6 +95,15 @@ def test_non_string_names_are_parse_errors(field, value):
         doc["objects"].append(value)
     elif field == "compose":
         doc["compose"][0][1] = value
+    elif field in ("identity", "inverse"):  # declared on a group whose one morphism is str(value)
+        name = str(value)
+        doc = {
+            "objects": ["x"],
+            "morphisms": [{"name": name, "dom": "x", "cod": "x"}],
+            "compose": [[name, name, name]],
+            "identities": {"x": value if field == "identity" else name},
+            "inverses": {name: value},
+        }
     else:
         doc["morphisms"][1][field] = value
     for check in (validate, groupoid_violations, groupoid_oracle.law_violations):
@@ -217,6 +228,33 @@ def test_compose_is_f_after_g():
     assert g.compose("f_inv", "f") == "id_x"
     with pytest.raises(ParseError):
         g.compose("f", "f")
+
+
+_BUILT = {
+    "interval-x-interval": (product, interval(), interval()),
+    "cyclic2-x-cyclic4": (product, cyclic(2), cyclic(4)),
+    "two-intervals": (disjoint_union, interval(), interval()),
+    "cyclic8-plus-cyclic8": (disjoint_union, cyclic(8), cyclic(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT))
+def test_array_products_and_unions_match_string_documents(name):
+    """product and disjoint_union build index arrays; the reference formats
+    every compose triple as a string document and validates it."""
+    build, a, b = _BUILT[name]
+    reference = {
+        product: groupoid_oracle.product_doc,
+        disjoint_union: groupoid_oracle.disjoint_union_doc,
+    }[build]
+    got, want = build(a, b), validate(reference(a, b))
+    assert got.to_doc() == want.to_doc()
+    assert (got.identities, got.inverses) == (want.identities, want.inverses)
+    assert np.array_equal(got.comp, want.comp)
+    alg, ref = to_algebra(got), to_algebra(want)
+    assert alg.carrier.labels == ref.carrier.labels
+    for mine, theirs in [(alg.mult, ref.mult), (alg.unit, ref.unit)]:
+        assert np.array_equal(mine.payload, theirs.payload)
 
 
 def test_product_names_and_structure():
@@ -384,6 +422,15 @@ def test_copyables_match_per_mask_reference(name):
         assert any(m >> 63 for m in masks)  # the R block sits on bits 32..63
 
 
+@pytest.mark.parametrize("name", sorted(_SMALL) + sorted(_LARGE))
+def test_group_predicates_match_name_keyed_loops(name):
+    g = _SMALL.get(name) or _LARGE[name]
+    assert is_abelian(g) == groupoid_oracle.is_abelian(g)
+    if g.is_group:
+        orders = [element_order(g, m) for m in g.morphism_names()]
+        assert orders == [groupoid_oracle.element_order(g, m) for m in g.morphism_names()]
+
+
 def _speciality(alg) -> bool:
     """m . m^dagger = id, composed on the backend."""
     return equal(compose(alg.mult, alg.comult), identity(alg.carrier))
@@ -492,6 +539,15 @@ def test_scan_matches_zero_one_projections(name):
     n = alg.carrier.size
     want = _lectic(zero_one_projections(alg, DEFAULT_TOL, 2**n), n)
     assert groupoid._scanned_masks(alg) == want
+
+
+def test_cross_checked_enumeration_packs_the_supports_once(monkeypatch):
+    calls = []
+    pack = groupoid._support_masks
+    monkeypatch.setattr(groupoid, "_support_masks", lambda alg: calls.append(alg) or pack(alg))
+    alg = to_algebra(dihedral(4))
+    assert groupoid.enumerate_projections(alg, cross_check=True) == groupoid._scanned_masks(alg)
+    assert len(calls) == 2  # one for the enumeration with its cross-check, one for the scan
 
 
 def test_forced_cross_check_above_limit_raises_the_scan_limit():
