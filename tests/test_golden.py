@@ -13,6 +13,9 @@ hashlib.sha256(out.encode()).hexdigest() for each case below.
 ARGPARSE_OWNED pins, with COLUMNS=80, the help texts, usage errors and
 argparse-only spellings (abbreviations, --opt=value) by the digests of
 stdout and stderr and the exit code; they were taken with Python 3.11.
+
+DOT pins the exit code and stdout digest of `--format dot` on lattices of
+both orders.
 """
 
 import hashlib
@@ -295,3 +298,32 @@ def test_argparse_owned_output_matches_golden_digest(command, capsys, monkeypatc
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == out_digest
     assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
+# argv (split on spaces) -> (exit code, stdout digest)
+DOT = {
+    "lattice klein4 --order inclusion --format dot": (
+        0,
+        "82e412683c1e93ee9ebe79532296c143ce785adace57e6696a239d09493356a6",
+    ),
+    "lattice z2xz4 --order inclusion --format dot": (
+        0,
+        "95af0a595044e44fa016afaec17386df0a8f61dd9fe81b135e73611d7c6f3392",
+    ),
+    "lattice interval --order mult --format dot": (
+        0,
+        "3751f6fbcd5adcc8a2199837cf14949c734e820bd2419c537497ae88239118d1",
+    ),
+    "lattice basis3 --order mult --format dot": (
+        0,
+        "941f6de13fcf2b58782de1952548101dd3063394c37a72fcba92d901d03d6685",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOT))
+def test_dot_output_matches_golden_digest(command, capsys):
+    code, digest = DOT[command]
+    got_code = main(command.split())
+    assert got_code == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
