@@ -59,13 +59,11 @@ from .groupoid import (
     dihedral,
     disjoint_union,
     enumerate_projections,
-    enumerate_subgroupoids,
     groupoid_violations,
     interval,
     klein4,
     product,
     quaternion8,
-    subgroupoid_points,
     symmetric3,
     to_algebra,
     validate,
@@ -330,7 +328,7 @@ def cmd_projections(args, tol: Tolerance) -> int:
         "backend": alg.backend,
         "carrier": alg.carrier.size,
         "count": poset.n,
-        "elements": sorted(poset.names),
+        "elements": list(poset.names),
         "orthogonality": orth,
     }
     if args.seed is not None and alg.backend == FHILB:
@@ -343,13 +341,10 @@ def cmd_projections(args, tol: Tolerance) -> int:
 def cmd_lattice(args, tol: Tolerance) -> int:
     name, raw = _resolve_raw(args.input)
     g, alg = _checked(raw, tol)
-    if args.order == "inclusion":
-        if g is None:
-            raise ParseError("the inclusion order needs a groupoid input")
-        subs = enumerate_subgroupoids(g, alg, max_closed=args.max_enum)
-        poset = inclusion_poset(alg, subs, tol)
-    else:
-        poset = build_poset(alg, _family(alg, tol, args.max_enum), tol)
+    if args.order == "inclusion" and g is None:
+        raise ParseError("the inclusion order needs a groupoid input")
+    make = inclusion_poset if args.order == "inclusion" else build_poset
+    poset = make(alg, _family(alg, tol, args.max_enum), tol)
     if args.format == "dot":
         sys.stdout.write(to_dot(poset, title=f"{os.path.basename(name)} {args.order}"))
         return 0
@@ -415,7 +410,7 @@ def _bundle_klein4(tol: Tolerance) -> tuple[dict, bool]:
     g = klein4()
     alg = to_algebra(g)
     commutative = is_commutative(alg, tol)
-    subs = enumerate_subgroupoids(g, alg)
+    subs = _family(alg, tol, 2**alg.carrier.size)
     rep = lattice_report(inclusion_poset(alg, subs, tol))
     a, b, c = rep.distributive_witness
     lhs = rep.meet_table[a][rep.join_table[b][c]]
@@ -452,10 +447,10 @@ def _bundle_interval(tol: Tolerance) -> tuple[dict, bool]:
     commutative = is_commutative(alg, tol)
     fwd = g.compose("f", "f_inv")
     back = g.compose("f_inv", "f")
-    subs = enumerate_subgroupoids(g, alg)
+    subs = _family(alg, tol, 2**alg.carrier.size)
     inc = inclusion_poset(alg, subs, tol)
     inc_rep = lattice_report(inc)
-    mult = build_poset(alg, subgroupoid_points(alg, subs), tol)
+    mult = build_poset(alg, subs, tol)
     mult_rep = lattice_report(mult)
     cmp = compare_orders(mult, inc)
     ok = (

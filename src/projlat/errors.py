@@ -61,14 +61,22 @@ def _field_types(cls) -> dict[str, Any]:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
 def _encode(value):
-    if value is None or isinstance(value, (str, int, float)):
+    """value as a document; a sequence or mapping of scalars is copied whole."""
+    if isinstance(value, _SCALARS):
         return value
     if isinstance(value, Report):
         return value.to_dict()
     if isinstance(value, (tuple, list)):
+        if all(isinstance(x, _SCALARS) for x in value):
+            return list(value)
         return [_encode(x) for x in value]
     if isinstance(value, dict):
+        if all(isinstance(v, _SCALARS) for v in value.values()):
+            return dict(value)
         return {k: _encode(v) for k, v in value.items()}
     return value
 

@@ -760,37 +760,10 @@ def subgroupoid_points(alg: FrobeniusAlgebra, subs: Iterable[Subgroupoid]) -> li
 # -- components and copyables ----------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _component_name_sets(g: Groupoid) -> list[frozenset[str]]:
-    uf = _UnionFind(len(g.objects))
-    for a, b in zip(g.dom.tolist(), g.cod.tolist()):
-        uf.union(a, b)
-    blocks: dict[int, set[str]] = {}
-    for m, x in zip(g.morphisms, g.dom.tolist()):
-        blocks.setdefault(uf.find(x), set()).add(m.name)
-    ordered = sorted(blocks.items(), key=lambda kv: kv[0])
-    return [frozenset(names) for _, names in ordered]
-
-
 def connected_components(g: Groupoid) -> list[Point]:
     """Morphism blocks of the object-connectivity partition, as points."""
     alg = to_algebra(g)
-    return subset_points(alg, _component_name_sets(g))
+    return mask_points(alg, _component_masks(alg))
 
 
 def _component_masks(alg: FrobeniusAlgebra) -> list[int]:

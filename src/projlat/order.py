@@ -4,10 +4,12 @@ The multiplication order p <= q iff p.q = p and the orthogonality p _|_ q
 iff p.q = 0 are computed pairwise and then verified, never assumed: a family
 whose products break reflexivity, antisymmetry, transitivity, or the three
 orthogonality axioms (symmetry, antireflexivity above zero, downward
-closure) raises LawViolation with witnesses. Subgroupoid families also get
-the subset-inclusion order, and compare_orders documents how the two relate
-(for one-object groupoids the multiplication order is dual to inclusion
-above the empty set).
+closure) raises LawViolation with witnesses. A family of 0/1 rel points
+(on a groupoid algebra, its subgroupoids) also gets the subset-inclusion
+order, and compare_orders documents how the two relate (for one-object
+groupoids the multiplication order is dual to inclusion above the empty
+set). A poset holds its elements in name order, so every analytic lists
+them in index order.
 
 Meets and joins are looked up: the meet of i and j is the element whose
 down-set is the intersection of theirs, found by binary search among the
@@ -30,17 +32,18 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .backend import DEFAULT_TOL, REL, Tolerance
-from .errors import LawViolation, Report, Violation
+from .errors import BackendMismatch, LawViolation, Report, Violation
 from .frobenius import (
     _BLOCK_ENTRIES,
     FrobeniusAlgebra,
     Point,
     is_projection,
+    mask_points,
     mult_points,
     points_equal,
     zero_point,
 )
-from .groupoid import Groupoid, Subgroupoid, is_cyclic_group, subset_points
+from .groupoid import Groupoid, is_cyclic_group
 
 
 # -- poset construction -----------------------------------------------------
@@ -126,7 +129,8 @@ def _bound_lookup(bound: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionPoset:
-    """A verified finite projection order with orthogonality and a zero."""
+    """A verified finite projection order with orthogonality and a zero,
+    its elements in strictly increasing name order."""
 
     points: tuple[Point, ...]
     names: tuple[str, ...]
@@ -135,6 +139,8 @@ class ProjectionPoset:
     zero_index: int
 
     def __post_init__(self):
+        if any(a >= b for a, b in zip(self.names, self.names[1:])):
+            raise ValueError("poset elements must be in strictly increasing name order")
         self.leq.setflags(write=False)
         self.orth.setflags(write=False)
 
@@ -147,13 +153,19 @@ class ProjectionPoset:
         orth: np.ndarray,
         zero_index: int,
     ) -> "ProjectionPoset":
-        leq = np.asarray(leq, dtype=bool).copy()
-        orth = np.asarray(orth, dtype=bool).copy()
+        """The poset of relations given in any element order: the laws are
+        checked, and witnesses named, in that order; the poset then holds
+        its elements in name order."""
+        leq = np.asarray(leq, dtype=bool)
+        orth = np.asarray(orth, dtype=bool)
         violations = _poset_violations(leq, names)
         violations += _orthogonality_violations(leq, orth, zero_index, names)
         if violations:
             raise LawViolation(f"projection order breaks {len(violations)} law(s)", violations)
-        return cls(tuple(points), tuple(names), leq, orth, zero_index)
+        order = sorted(range(len(names)), key=names.__getitem__)
+        ix = np.ix_(order, order)
+        points, names = tuple(points[k] for k in order), tuple(names[k] for k in order)
+        return cls(points, names, leq[ix], orth[ix], order.index(zero_index))
 
     @property
     def n(self) -> int:
@@ -253,25 +265,27 @@ def build_poset(
 
 
 def inclusion_poset(
-    alg: FrobeniusAlgebra, subgroupoids: Sequence[Subgroupoid], tol: Tolerance = DEFAULT_TOL
+    alg: FrobeniusAlgebra, family: Sequence[Point], tol: Tolerance = DEFAULT_TOL
 ) -> ProjectionPoset:
-    """Subset-inclusion order on subgroupoid points; orthogonality is disjointness.
+    """Subset-inclusion order on a family of 0/1 rel points, the family that
+    build_poset takes (on a groupoid algebra, the subgroupoids); the empty
+    set is adjoined when missing, and orthogonality is disjointness.
 
     Both come from one product of the 0/1 support rows: with
     common[i, j] = |S_i & S_j|, S_i <= S_j iff common[i, j] = |S_i|, and
     S_i, S_j are disjoint iff common[i, j] = 0 (counts of at most the
     carrier size are exact in float32).
     """
-    subs = list(subgroupoids)
-    if all(s.members for s in subs):
-        subs.append(Subgroupoid(frozenset()))
-    members = [s.members for s in subs]
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate subgroupoids in family")
-    points = subset_points(alg, members)
-    names = [s.name for s in subs]
-    zero_index = members.index(frozenset())
+    if alg.backend != REL:
+        raise BackendMismatch("the inclusion order lives on the rel backend")
+    points = list(family)
+    if all(p.morphism.payload.any() for p in points):
+        points += mask_points(alg, [0])
     rows = np.array([p.morphism.payload[:, 0] for p in points], np.float32)
+    if len(np.unique(rows, axis=0)) != len(rows):
+        raise ValueError("duplicate subgroupoids in family")
+    names = [p.name for p in points]
+    zero_index = int(np.flatnonzero(~rows.any(axis=1))[0])
     common = rows @ rows.T
     leq, orth = common == common.diagonal()[:, None], common == 0
     return ProjectionPoset.from_relations(points, names, leq, orth, zero_index)
@@ -343,12 +357,9 @@ def commute_glb_equivalence(
     and realizes the greatest lower bound); any pair where they differ is
     surfaced for inspection.
     """
-    order = sorted(range(poset.n), key=lambda k: poset.names[k])
     pairs = []
-    for a in order:
-        for b in order:
-            if poset.names[a] >= poset.names[b]:
-                continue
+    for a in range(poset.n):
+        for b in range(a + 1, poset.n):
             p, q = poset.points[a], poset.points[b]
             pq = mult_points(p, q)
             qp = mult_points(q, p)
@@ -431,7 +442,7 @@ def orthocomplement_probe(poset: ProjectionPoset) -> ProbeReport:
         else ProbeEntry(names[a], False, None, None, None, None, None)
         for a, c, flags in zip(each.tolist(), comp.tolist(), clauses)
     ]
-    return ProbeReport(True, tuple(sorted(entries, key=lambda e: e.element)))
+    return ProbeReport(True, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -521,23 +532,15 @@ def lattice_report(poset: ProjectionPoset) -> LatticeReport:
     When a certificate fails, the triples are scanned in name order up to
     the first failing one, which is the witness.
     """
-    n = poset.n
-    order = np.array(sorted(range(n), key=lambda k: poset.names[k]), dtype=int)
-    names = [poset.names[k] for k in order]
-    rank = np.empty(n + 1, dtype=int)  # rank[-1] keeps -1 (no bound) as -1
-    rank[order], rank[-1] = np.arange(n), -1
-    meet = rank[poset.meet[np.ix_(order, order)]]
-    join = rank[poset.join[np.ix_(order, order)]]
-    leq = poset.leq[np.ix_(order, order)]
+    names, leq, meet, join = poset.names, poset.leq, poset.meet, poset.join
     missing_meets = tuple((names[a], names[b]) for a, b in np.argwhere(np.triu(meet < 0)))
     missing_joins = tuple((names[a], names[b]) for a, b in np.argwhere(np.triu(join < 0)))
     is_lattice = not missing_meets and not missing_joins
     distributive = modular = None
     dist_wit = mod_wit = None
     if is_lattice:
-        covers = poset.covers[np.ix_(order, order)]
-        modular = _is_modular(leq, meet, join, covers)
-        distributive = modular and _is_distributive(leq, covers)
+        modular = _is_modular(leq, meet, join, poset.covers)
+        distributive = modular and _is_distributive(leq, poset.covers)
         if not distributive:
             dist_wit = _distributive_witness(meet, join)
             distributive = dist_wit is None
@@ -548,7 +551,7 @@ def lattice_report(poset: ProjectionPoset) -> LatticeReport:
             tuple(names[k] for k in w) if w else None for w in (dist_wit, mod_wit)
         )
     return LatticeReport(
-        tuple(names),
+        names,
         is_lattice,
         missing_meets,
         missing_joins,
@@ -579,17 +582,11 @@ class OrderComparison(Report):
 
 def compare_orders(first: ProjectionPoset, second: ProjectionPoset) -> OrderComparison:
     """How two orders on the same named elements relate: equal, dual, or neither."""
-    if set(first.names) != set(second.names):
+    if first.names != second.names:
         raise ValueError("posets order different element sets")
-    names = sorted(first.names)
-    fi = [first.index(x) for x in names]
-    si = [second.index(x) for x in names]
-    f = first.leq[np.ix_(fi, fi)]
-    s = second.leq[np.ix_(si, si)]
-    zeros = {first.names[first.zero_index], second.names[second.zero_index]}
-    keep = [i for i, nm in enumerate(names) if nm not in zeros]
-    fz = f[np.ix_(keep, keep)]
-    sz = s[np.ix_(keep, keep)]
+    names, f, s = first.names, first.leq, second.leq
+    keep = np.setdiff1d(np.arange(len(names)), [first.zero_index, second.zero_index])
+    fz, sz = (x[np.ix_(keep, keep)] for x in (f, s))
     return OrderComparison(
         equal=bool(np.array_equal(f, s)),
         dual=bool(np.array_equal(f, s.T)),
@@ -629,14 +626,14 @@ class OreReport(Report):
 
 def ore_crossvalidate(fixtures: Iterable[tuple[str, Groupoid]]) -> OreReport:
     """Finite Ore theorem check: subgroup-inclusion lattice distributive iff cyclic."""
-    from .groupoid import enumerate_subgroupoids, to_algebra
+    from .groupoid import enumerate_projections, to_algebra
 
     entries = []
     for name, g in fixtures:
         if not g.is_group:
             raise ValueError(f"fixture {name!r} is not a one-object groupoid")
         alg = to_algebra(g)
-        rep = lattice_report(inclusion_poset(alg, enumerate_subgroupoids(g, alg)))
+        rep = lattice_report(inclusion_poset(alg, mask_points(alg, enumerate_projections(alg))))
         if not rep.is_lattice:
             raise LawViolation(
                 f"subgroup inclusion order of {name!r} is not a lattice",
@@ -653,7 +650,7 @@ def hasse_edges(poset: ProjectionPoset) -> list[tuple[str, str]]:
     """Cover pairs (a, b) with a < b and nothing strictly between, name-sorted."""
     names = np.array(poset.names, dtype=object)
     below, above = np.nonzero(poset.covers)
-    return sorted(zip(names[below].tolist(), names[above].tolist()))
+    return list(zip(names[below].tolist(), names[above].tolist()))
 
 
 def to_dot(poset: ProjectionPoset, title: str = "order") -> str:
@@ -663,7 +660,7 @@ def to_dot(poset: ProjectionPoset, title: str = "order") -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = [f"digraph {q(title)} {{", "  rankdir=BT;"]
-    for name in sorted(poset.names):
+    for name in poset.names:
         lines.append(f"  {q(name)};")
     for a, b in hasse_edges(poset):
         lines.append(f"  {q(a)} -> {q(b)};")

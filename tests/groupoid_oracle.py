@@ -8,7 +8,8 @@ lookups by name, and associativity_violations walks every composable triple
 (f, g, h) in three nested loops and compares (f.g).h with f.(g.h) by name.
 product_doc and disjoint_union_doc format every compose triple of a product
 or union as a string document, and is_abelian and element_order walk a
-name-keyed table. copyable_masks tests one support bitmask at a time,
+name-keyed table. _component_name_sets joins objects with a union-find
+and groups morphism names by root. copyable_masks tests one support bitmask at a time,
 product by product, with Python integers. PairClosure closes a set member
 by member, testing each product pair of the structure tensor. So they share
 neither the int arrays of groupoid._laws, nor the uint64 mask arrays of
@@ -213,6 +214,33 @@ def element_order(g, name: str) -> int:
         acc = table[(name, acc)]
         k += 1
     return k
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def _component_name_sets(g: Groupoid) -> list[frozenset[str]]:
+    uf = _UnionFind(len(g.objects))
+    for a, b in zip(g.dom.tolist(), g.cod.tolist()):
+        uf.union(a, b)
+    blocks: dict[int, set[str]] = {}
+    for m, x in zip(g.morphisms, g.dom.tolist()):
+        blocks.setdefault(uf.find(x), set()).add(m.name)
+    ordered = sorted(blocks.items(), key=lambda kv: kv[0])
+    return [frozenset(names) for _, names in ordered]
 
 
 def products(alg) -> list[tuple[int, int, int]]:

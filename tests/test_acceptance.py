@@ -64,7 +64,7 @@ from projlat import (
     zero_one_points,
     zero_point,
 )
-from projlat.groupoid import _component_name_sets
+from groupoid_oracle import _component_name_sets
 
 TOL = Tolerance(1e-9)
 
@@ -125,7 +125,7 @@ def test_criterion_01_quartic_group_lattice():
     subs = enumerate_subgroupoids(g)
     proper = [s for s in subs if 1 < len(s.members) < 4]
     commutative = is_commutative(alg, TOL)
-    rep = lattice_report(inclusion_poset(alg, subs, TOL))
+    rep = lattice_report(inclusion_poset(alg, subgroupoid_points(alg, subs), TOL))
     witness_ok = False
     if rep.distributive is False and rep.distributive_witness:
         a, b, c = rep.distributive_witness
@@ -149,7 +149,7 @@ def test_criterion_02_interval_groupoid():
     subs = enumerate_subgroupoids(g)
     noncomm = not is_commutative(alg, TOL) and commutativity_defect(alg) > 0
     explicit = g.compose("f", "f_inv") != g.compose("f_inv", "f")
-    incl = inclusion_poset(alg, subs, TOL)
+    incl = inclusion_poset(alg, subgroupoid_points(alg, subs), TOL)
     rep = lattice_report(incl)
     mult = build_poset(alg, subgroupoid_points(alg, subs), TOL)
     cmp = compare_orders(mult, incl)

@@ -498,6 +498,14 @@ _WIDE = {"cyclic13-x-cyclic5": product(cyclic(13), cyclic(5))}
 _ALL = {**_SMALL, **_LARGE, **_WIDE}
 
 
+@pytest.mark.parametrize("name", sorted(_ALL))
+def test_components_match_union_find_reference(name):
+    g = _ALL[name]
+    got = [point_names(p) for p in connected_components(g)]
+    assert len(got) == len(set(got))
+    assert set(got) == set(groupoid_oracle._component_name_sets(g))
+
+
 def _lectic(masks, n):
     return sorted(masks, key=lambda m: [m >> i & 1 for i in range(n)])
 

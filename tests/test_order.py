@@ -50,7 +50,7 @@ def groupoid_posets(g):
     alg = to_algebra(g)
     subs = enumerate_subgroupoids(g)
     mult = build_poset(alg, subgroupoid_points(alg, subs), TOL)
-    incl = inclusion_poset(alg, subs, TOL)
+    incl = inclusion_poset(alg, subgroupoid_points(alg, subs), TOL)
     return alg, mult, incl
 
 
@@ -607,9 +607,9 @@ def builtin_posets() -> dict:
                  *(f"cyclic{n}" for n in range(1, 17)), *(f"dihedral{n}" for n in range(3, 13)),
                  *(f"pants{n}" for n in range(1, 7)), *(f"basis{n}" for n in range(1, 7))]:
         g, alg = cli._resolved(cli._builtin(name))
-        if g is not None:
-            out[f"{name}-inclusion"] = inclusion_poset(alg, enumerate_subgroupoids(g), TOL)
         family = cli._family(alg, TOL, 10**6)
+        if g is not None:
+            out[f"{name}-inclusion"] = inclusion_poset(alg, family, TOL)
         if len(family) <= 64:
             out[f"{name}-mult"] = build_poset(alg, family, TOL)
     return out
@@ -649,3 +649,65 @@ def test_oracle_posets_cover_every_kind_of_lattice():
                   "graded, not modular" if graded else "ungraded")
     assert kinds == {"not a lattice", "distributive", "modular only", "graded, not modular",
                      "ungraded"}
+
+
+# -- name order -------------------------------------------------------------
+
+
+def _views(poset, alg=None) -> list:
+    """What the analytics print of a poset; the pair checks when it has points."""
+    views = [lattice_report(poset).to_dict(), hasse_edges(poset), to_dot(poset)]
+    if alg is not None:
+        views.append(commute_glb_equivalence(alg, poset, TOL).to_dict())
+    return views
+
+
+def _name_order_families() -> dict:
+    """name -> (algebra, poset builder, family in its enumeration order)."""
+    out = {}
+    for name, make in (("basis4", build_poset), ("klein4", inclusion_poset),
+                       ("z2xz4", inclusion_poset)):
+        _, alg = cli._resolved(cli._builtin(name))
+        out[f"{name}-{make.__name__}"] = (alg, make, cli._family(alg, TOL, 10**6))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_name_order_families()))
+def test_shuffled_families_give_the_same_poset(name):
+    alg, make, family = _name_order_families()[name]
+    want = _views(make(alg, family, TOL), alg)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        poset = make(alg, [family[k] for k in rng.permutation(len(family))], TOL)
+        assert list(poset.names) == sorted(poset.names)
+        assert [p.name for p in poset.points] == list(poset.names)
+        assert _views(poset, alg) == want
+
+
+@pytest.mark.parametrize("name", ["dag3", "dag7", "closure5", "m3"])
+def test_relations_in_any_index_order_give_the_same_poset(name):
+    """A random poset, its names drawn out of index order, rebuilt from its
+    relations under shuffled indices."""
+    base = random_posets()[name]
+    assert list(base.names) == sorted(base.names)
+    want = _views(base)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        perm = rng.permutation(base.n)
+        ix = np.ix_(perm, perm)
+        poset = ProjectionPoset.from_relations(
+            [base.points[k] for k in perm], [base.names[k] for k in perm],
+            base.leq[ix], base.orth[ix], int(np.flatnonzero(perm == base.zero_index)[0]),
+        )
+        assert poset.names == base.names
+        assert np.array_equal(poset.leq, base.leq) and np.array_equal(poset.orth, base.orth)
+        assert _views(poset) == want
+
+
+def test_poset_refuses_names_out_of_order():
+    leq = np.array([[1, 1], [0, 1]], dtype=bool)
+    orth = np.array([[1, 1], [1, 0]], dtype=bool)
+    ProjectionPoset((None, None), ("a", "b"), leq, orth, 0)
+    for names in (("b", "a"), ("a", "a")):
+        with pytest.raises(ValueError, match="name order"):
+            ProjectionPoset((None, None), names, leq, orth, 0)

@@ -75,7 +75,7 @@ def test_inclusion_poset_matches_pair_loop(name):
     alg = to_algebra(g)
     subs = enumerate_subgroupoids(g, max_carrier=alg.carrier.size)
     for family in (subs, subs[::-1], subs[1:], subs[:0:-1], subs + subs[-1:]):
-        got = _outcome(inclusion_poset, alg, family, TOL)
+        got = _outcome(inclusion_poset, alg, subgroupoid_points(alg, family), TOL)
         assert got == _outcome(oracle.inclusion_poset, alg, family)
 
 

@@ -59,6 +59,8 @@ from projlat import (
     zero_one_points,
 )
 from lattice_oracle import bound_table
+from projlat import errors
+from projlat.errors import Report
 
 TOL = Tolerance(1e-9)
 
@@ -127,7 +129,7 @@ def all_reports():
     alg = to_algebra(g)
     subs = enumerate_subgroupoids(g)
     mult = build_poset(alg, subgroupoid_points(alg, subs), TOL)
-    incl = inclusion_poset(alg, subs, TOL)
+    incl = inclusion_poset(alg, subgroupoid_points(alg, subs), TOL)
     bb = basis_algebra(2)
     tb = tensor_algebras(bb, bb, TOL)
     fam = zero_one_points(bb)
@@ -156,6 +158,37 @@ def test_every_report_kind_round_trips_losslessly():
     assert seen == set(REPORT_KINDS) - {"cli_report"}
 
 
+def _cellwise(value):
+    """The report encoding with one call per cell: reports become documents,
+    tuples lists, and mappings keep their keys and order."""
+    if isinstance(value, Report):
+        doc = {"kind": value.kind} if value.kind else {}
+        return {**doc, **{k: _cellwise(getattr(value, k)) for k in value.doc_keys}}
+    if isinstance(value, (tuple, list)):
+        return [_cellwise(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _cellwise(v) for k, v in value.items()}
+    return value
+
+
+def test_encoding_copies_scalar_rows_like_the_cellwise_reference(monkeypatch):
+    g = product(klein4(), klein4())
+    alg = to_algebra(g)
+    big = lattice_report(inclusion_poset(alg, subgroupoid_points(alg, enumerate_subgroupoids(g))))
+    for rep in all_reports() + [big]:
+        assert rep.to_dict() == _cellwise(rep)
+    doc = big.to_dict()
+    a, b = big.names[1], big.names[2]
+    doc["meet_table"][a][b] = doc["names"][0] = "changed"
+    assert big.meet_table[a][b] != "changed" and big.names[0] != "changed"
+    calls = []
+    encode = errors._encode
+    monkeypatch.setattr(errors, "_encode", lambda v: calls.append(1) or encode(v))
+    big.to_dict()
+    n = len(big.names)
+    assert n == 68 and len(calls) < 20 * n  # the cell-by-cell encoding makes over 2 * n * n
+
+
 def _named_bounds(poset, bound) -> dict:
     """bound_table's rows keyed by name, in name order, None for no bound."""
     names = sorted(poset.names)
@@ -176,7 +209,7 @@ def table_posets():
     orth[0], orth[:, 0] = True, True
     return [
         build_poset(alg, subgroupoid_points(alg, subs), TOL),
-        inclusion_poset(alg, subs, TOL),
+        inclusion_poset(alg, subgroupoid_points(alg, subs), TOL),
         build_poset(pants, rank2, TOL),
         ProjectionPoset.from_relations([None] * 3, ["z", "b", "a"], vee, orth, 0),
     ]
