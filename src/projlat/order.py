@@ -282,12 +282,12 @@ def inclusion_poset(
     if all(p.morphism.payload.any() for p in points):
         points += mask_points(alg, [0])
     rows = np.array([p.morphism.payload[:, 0] for p in points], np.float32)
-    if len(np.unique(rows, axis=0)) != len(rows):
-        raise ValueError("duplicate subgroupoids in family")
-    names = [p.name for p in points]
-    zero_index = int(np.flatnonzero(~rows.any(axis=1))[0])
     common = rows @ rows.T
     leq, orth = common == common.diagonal()[:, None], common == 0
+    if np.count_nonzero(leq & leq.T) > len(rows):  # two equal rows include each other
+        raise ValueError("duplicate subgroupoids in family")
+    names = [p.name for p in points]
+    zero_index = int(np.flatnonzero(common.diagonal() == 0)[0])
     return ProjectionPoset.from_relations(points, names, leq, orth, zero_index)
 
 
@@ -585,7 +585,7 @@ def compare_orders(first: ProjectionPoset, second: ProjectionPoset) -> OrderComp
     if first.names != second.names:
         raise ValueError("posets order different element sets")
     names, f, s = first.names, first.leq, second.leq
-    keep = np.setdiff1d(np.arange(len(names)), [first.zero_index, second.zero_index])
+    keep = [k for k in range(len(names)) if k not in (first.zero_index, second.zero_index)]
     fz, sz = (x[np.ix_(keep, keep)] for x in (f, s))
     return OrderComparison(
         equal=bool(np.array_equal(f, s)),
