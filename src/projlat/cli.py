@@ -52,6 +52,7 @@ from .frobenius import (
     zero_one_projections,
 )
 from .groupoid import (
+    MAX_CLOSED_SETS,
     Groupoid,
     closure_applies,
     copyables_report,
@@ -410,15 +411,15 @@ def _bundle_klein4(tol: Tolerance) -> tuple[dict, bool]:
     g = klein4()
     alg = to_algebra(g)
     commutative = is_commutative(alg, tol)
-    subs = _family(alg, tol, 2**alg.carrier.size)
-    rep = lattice_report(inclusion_poset(alg, subs, tol))
+    family = _family(alg, tol, MAX_CLOSED_SETS)
+    rep = lattice_report(inclusion_poset(alg, family, tol))
     a, b, c = rep.distributive_witness
     lhs = rep.meet_table[a][rep.join_table[b][c]]
     rhs = rep.join_table[rep.meet_table[a][b]][rep.meet_table[a][c]]
     witness_ok = lhs == a and lhs != rhs
     ok = (
         commutative
-        and len(subs) == 6
+        and len(family) == 6
         and rep.distributive is False
         and rep.modular is True
         and witness_ok
@@ -428,7 +429,7 @@ def _bundle_klein4(tol: Tolerance) -> tuple[dict, bool]:
         "groupoid": "klein4",
         "order": "inclusion",
         "commutative": commutative,
-        "subgroupoid_count": len(subs),
+        "subgroupoid_count": len(family),
         "distributive": rep.distributive,
         "modular": rep.modular,
         "witness": {
@@ -447,16 +448,16 @@ def _bundle_interval(tol: Tolerance) -> tuple[dict, bool]:
     commutative = is_commutative(alg, tol)
     fwd = g.compose("f", "f_inv")
     back = g.compose("f_inv", "f")
-    subs = _family(alg, tol, 2**alg.carrier.size)
-    inc = inclusion_poset(alg, subs, tol)
+    family = _family(alg, tol, MAX_CLOSED_SETS)
+    inc = inclusion_poset(alg, family, tol)
     inc_rep = lattice_report(inc)
-    mult = build_poset(alg, subs, tol)
+    mult = build_poset(alg, family, tol)
     mult_rep = lattice_report(mult)
     cmp = compare_orders(mult, inc)
     ok = (
         not commutative
         and fwd != back
-        and len(subs) == 5
+        and len(family) == 5
         and inc_rep.distributive is True
         and mult_rep.distributive is False
         and mult_rep.modular is True
@@ -472,7 +473,7 @@ def _bundle_interval(tol: Tolerance) -> tuple[dict, bool]:
             "f_after_f_inv": fwd,
             "f_inv_after_f": back,
         },
-        "subgroupoid_count": len(subs),
+        "subgroupoid_count": len(family),
         "inclusion": {"distributive": inc_rep.distributive, "modular": inc_rep.modular},
         "mult": {"distributive": mult_rep.distributive, "modular": mult_rep.modular},
         "order_comparison": cmp,

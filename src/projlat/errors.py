@@ -65,19 +65,15 @@ _SCALARS = (str, int, float, type(None))  # bool is an int
 
 
 def _encode(value):
-    """value as a document; a sequence or mapping of scalars is copied whole."""
+    """value as a document; scalar items are copied without a call each."""
     if isinstance(value, _SCALARS):
         return value
     if isinstance(value, Report):
         return value.to_dict()
     if isinstance(value, (tuple, list)):
-        if all(isinstance(x, _SCALARS) for x in value):
-            return list(value)
-        return [_encode(x) for x in value]
+        return [x if isinstance(x, _SCALARS) else _encode(x) for x in value]
     if isinstance(value, dict):
-        if all(isinstance(v, _SCALARS) for v in value.values()):
-            return dict(value)
-        return {k: _encode(v) for k, v in value.items()}
+        return {k: v if isinstance(v, _SCALARS) else _encode(v) for k, v in value.items()}
     return value
 
 

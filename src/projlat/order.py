@@ -279,6 +279,8 @@ def inclusion_poset(
     if alg.backend != REL:
         raise BackendMismatch("the inclusion order lives on the rel backend")
     points = list(family)
+    if any(not p.algebra.same_algebra(alg) for p in points):
+        raise ValueError("a family member lives on a different algebra")
     if all(p.morphism.payload.any() for p in points):
         points += mask_points(alg, [0])
     rows = np.array([p.morphism.payload[:, 0] for p in points], np.float32)
@@ -286,7 +288,7 @@ def inclusion_poset(
     leq, orth = common == common.diagonal()[:, None], common == 0
     if np.count_nonzero(leq & leq.T) > len(rows):  # two equal rows include each other
         raise ValueError("duplicate subgroupoids in family")
-    names = [p.name for p in points]
+    names = [p.name if p.name is not None else f"p{k}" for k, p in enumerate(points)]
     zero_index = int(np.flatnonzero(common.diagonal() == 0)[0])
     return ProjectionPoset.from_relations(points, names, leq, orth, zero_index)
 

@@ -803,7 +803,7 @@ def test_structured_output_is_valid_sorted_json(capsys):
 
 
 def test_groupoid_algebra_is_built_once_per_input(monkeypatch, capsys):
-    """Each groupoid input's algebra is built once and handed to enumerate_subgroupoids."""
+    """Each groupoid input's algebra is built once and handed to _family."""
     built = []
 
     def counted(g):

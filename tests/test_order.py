@@ -82,6 +82,18 @@ def test_build_poset_rejects_duplicates():
         build_poset(alg, pts + [pts[1].renamed("other")], TOL)
 
 
+def test_inclusion_poset_takes_its_family_like_build_poset():
+    """A point of another algebra with the same carrier size is refused, and
+    unnamed points get build_poset's names."""
+    alg, other = to_algebra(klein4()), to_algebra(cyclic(4))
+    assert alg.carrier.size == other.carrier.size
+    family = cli._family(alg, TOL, 10**6)
+    with pytest.raises(ValueError, match="different algebra"):
+        inclusion_poset(alg, family + cli._family(other, TOL, 10**6)[1:2], TOL)
+    unnamed = [p.renamed(None) for p in family]
+    assert inclusion_poset(alg, unnamed, TOL).names == build_poset(alg, unnamed, TOL).names
+
+
 def test_tampered_relations_raise():
     alg, mult, _ = groupoid_posets(cyclic(2))
     leq = mult.leq.copy()
